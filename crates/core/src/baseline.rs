@@ -132,9 +132,14 @@ pub fn labeled_population(
         })
         .chain(ctx.inventory.common_keywords().iter().cloned())
         .collect();
+    // Walk the database in CVE-id order: its own iteration order is a
+    // `HashMap`'s, which differs between instances, and the seed alone
+    // must decide the population.
+    let mut records: Vec<_> = ctx.cve_db.iter().collect();
+    records.sort_by(|a, b| a.id.cmp(&b.id));
     let mut relevant_cves = Vec::new();
     let mut irrelevant_cves = Vec::new();
-    for record in ctx.cve_db.iter() {
+    for record in records {
         let touches = record
             .affected_products
             .iter()
@@ -255,6 +260,22 @@ mod tests {
         let relevant = population.iter().filter(|s| s.relevant).count() as f64;
         let fraction = relevant / population.len() as f64;
         assert!((0.25..0.55).contains(&fraction), "fraction {fraction}");
+    }
+
+    #[test]
+    fn one_seed_draws_one_population() {
+        // Two fresh contexts hold the same CVEs in different `HashMap`
+        // orders; the draw must not see the difference.
+        let summary = |population: Vec<LabeledIoc>| -> Vec<(bool, Vec<FeedRecord>)> {
+            population
+                .into_iter()
+                .map(|sample| (sample.relevant, sample.cioc.records))
+                .collect()
+        };
+        let first = summary(labeled_population(7, 200, 0.4, &context()));
+        let second = summary(labeled_population(7, 200, 0.4, &context()));
+        assert_eq!(first.len(), 200);
+        assert_eq!(first, second);
     }
 
     #[test]

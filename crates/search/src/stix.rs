@@ -27,7 +27,7 @@
 use cais_common::Timestamp;
 use serde_json::Value;
 
-use crate::query::{normalize, sub_tokens, Field, Query};
+use crate::query::{Field, Query};
 
 /// Walks every string leaf of the object (values only, not keys).
 fn string_leaves<'a>(value: &'a Value, visit: &mut dyn FnMut(&'a str) -> bool) -> bool {
@@ -37,6 +37,17 @@ fn string_leaves<'a>(value: &'a Value, visit: &mut dyn FnMut(&'a str) -> bool) -
         Value::Object(map) => map.values().any(|v| string_leaves(v, visit)),
         _ => false,
     }
+}
+
+/// Whether `needle` occurs in `haystack`, ASCII case-insensitively:
+/// the same answer as lowercasing both and calling `str::contains`.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    let needle = needle.as_bytes();
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 /// Whether one serialized STIX object matches the query. Total: any
@@ -59,21 +70,28 @@ pub fn stix_matches(query: &Query, object: &Value) -> bool {
                 .and_then(Value::as_str)
                 .is_some_and(|c| c.eq_ignore_ascii_case(value)),
             Field::Value => {
-                let needle = normalize(value);
+                // Values compare trimmed and ASCII-lowercased (the index's
+                // `normalize`); comparing trimmed forms ASCII-case-
+                // insensitively is that test without allocating.
+                let needle = value.trim();
                 if needle.is_empty() {
                     return false;
                 }
+                // Sub-tokens are runs of ASCII alphanumerics, so a needle
+                // holding any other byte can only equal a whole leaf.
+                let token = needle.bytes().all(|b| b.is_ascii_alphanumeric());
                 string_leaves(object, &mut |leaf| {
-                    let normalized = normalize(leaf);
-                    normalized == needle || sub_tokens(&normalized).any(|t| t == needle)
+                    leaf.trim().eq_ignore_ascii_case(needle)
+                        || (token
+                            && leaf
+                                .as_bytes()
+                                .split(|b| !b.is_ascii_alphanumeric())
+                                .any(|t| t.eq_ignore_ascii_case(needle.as_bytes())))
                 })
             }
         },
         Query::Contains(needle) => {
-            let needle = needle.to_ascii_lowercase();
-            string_leaves(object, &mut |leaf| {
-                leaf.to_ascii_lowercase().contains(&needle)
-            })
+            string_leaves(object, &mut |leaf| contains_ignore_ascii_case(leaf, needle))
         }
         Query::Published(published) => {
             let revoked = object.get("revoked").and_then(Value::as_bool) == Some(true);

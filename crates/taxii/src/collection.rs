@@ -88,7 +88,7 @@ impl Collection {
         object_type: Option<&str>,
         query: Option<&cais_search::Query>,
     ) -> Envelope {
-        let matching: Vec<&StoredObject> = self
+        let mut matching = self
             .objects
             .iter()
             .filter(|o| added_after.is_none_or(|after| o.added_at > after))
@@ -96,10 +96,11 @@ impl Collection {
                 object_type
                     .is_none_or(|ty| o.object.get("type").and_then(|v| v.as_str()) == Some(ty))
             })
-            .filter(|o| query.is_none_or(|q| cais_search::stix_matches(q, &o.object)))
-            .collect();
-        let more = matching.len() > limit;
-        let page: Vec<&StoredObject> = matching.into_iter().take(limit).collect();
+            .filter(|o| query.is_none_or(|q| cais_search::stix_matches(q, &o.object)));
+        // Take the page, then probe for one more match: the scan stops
+        // there instead of visiting the rest of the collection.
+        let page: Vec<&StoredObject> = matching.by_ref().take(limit).collect();
+        let more = matching.next().is_some();
         let next = if more {
             page.last().map(|o| o.added_at)
         } else {

@@ -75,7 +75,9 @@ pub enum Response {
     },
     /// Objects accepted.
     Accepted {
-        /// How many were stored.
+        /// Objects accepted, including versions the collection already
+        /// held (a re-sent `(id, modified)` pair is accepted but not
+        /// stored again).
         stored: usize,
     },
     /// The request failed.

@@ -6,8 +6,14 @@
 //! repeated pulls of an unchanged collection replay stored bytes
 //! instead of re-filtering and re-serializing the page (see DESIGN.md
 //! §12).
+//!
+//! Producers re-push whole exports, so most of a push is usually
+//! versions the collection already holds. `AddObjects` stores a STIX
+//! object only when its exact `(id, modified)` pair is new to the
+//! collection; a re-sent copy changes nothing, not even the version
+//! the page cache is keyed on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,17 +37,69 @@ use crate::protocol::{Request, Response};
 const MAX_PAGE: usize = 1_000;
 
 /// Maximum number of cached page responses; the cache is cleared
-/// wholesale when full (entries are version-keyed, so a full cache is
-/// mostly superseded garbage anyway).
+/// wholesale when full. Writes evict their collection's pages, so every
+/// entry is a page of a current collection version.
 const PAGE_CACHE_CAP: usize = 512;
 
 #[derive(Debug, Default)]
 struct State {
-    collections: Vec<Collection>,
-    /// Per-collection write version: bumped on every successful
-    /// `AddObjects`, so cached pages of older versions can never be
-    /// served for newer content.
-    versions: HashMap<Uuid, u64>,
+    slots: Vec<Slot>,
+}
+
+impl State {
+    fn slot(&self, id: Uuid) -> Option<&Slot> {
+        self.slots.iter().find(|s| s.collection.id == id)
+    }
+}
+
+/// One collection plus the server's bookkeeping for it.
+#[derive(Debug)]
+struct Slot {
+    collection: Collection,
+    /// Write version: bumped whenever `AddObjects` stores something
+    /// new, so cached pages of older versions can never be served for
+    /// newer content.
+    version: u64,
+    /// The `(id, modified)` pair of every stored object that has both.
+    held: HashSet<(String, String)>,
+}
+
+impl Slot {
+    fn new(collection: Collection) -> Slot {
+        let held = collection
+            .objects
+            .iter()
+            .filter_map(|o| version_key(&o.object))
+            .collect();
+        Slot {
+            collection,
+            version: 0,
+            held,
+        }
+    }
+
+    /// Appends the objects whose `(id, modified)` version is not held
+    /// yet (objects lacking either property always), in order, and
+    /// returns how many were stored. Of two equal versions in one
+    /// batch, the first is stored.
+    fn add_new_versions(&mut self, objects: Vec<serde_json::Value>, added_at: Timestamp) -> usize {
+        let held = &mut self.held;
+        let fresh: Vec<serde_json::Value> = objects
+            .into_iter()
+            .filter(|object| version_key(object).is_none_or(|key| held.insert(key)))
+            .collect();
+        let stored = fresh.len();
+        self.collection.add_objects(fresh, added_at);
+        stored
+    }
+}
+
+/// The STIX version identity of an object: its `id` and `modified`
+/// properties, when both are strings.
+fn version_key(object: &serde_json::Value) -> Option<(String, String)> {
+    let id = object.get("id")?.as_str()?;
+    let modified = object.get("modified")?.as_str()?;
+    Some((id.to_owned(), modified.to_owned()))
 }
 
 /// The identity of one cacheable page response.
@@ -86,7 +144,7 @@ impl std::fmt::Debug for TaxiiServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaxiiServer")
             .field("title", &self.title)
-            .field("collections", &self.state.read().collections.len())
+            .field("collections", &self.state.read().slots.len())
             .finish()
     }
 }
@@ -119,9 +177,7 @@ impl TaxiiServer {
     /// Registers a collection, returning its id.
     pub fn add_collection(&mut self, collection: Collection) -> Uuid {
         let id = collection.id;
-        let mut state = self.state.write();
-        state.versions.insert(id, 0);
-        state.collections.push(collection);
+        self.state.write().slots.push(Slot::new(collection));
         id
     }
 
@@ -159,11 +215,11 @@ impl TaxiiServer {
                 let collections = self
                     .state
                     .read()
-                    .collections
+                    .slots
                     .iter()
-                    .map(|c| Collection {
+                    .map(|s| Collection {
                         objects: Vec::new(),
-                        ..c.clone()
+                        ..s.collection.clone()
                     })
                     .collect();
                 Response::Collections { collections }
@@ -180,7 +236,7 @@ impl TaxiiServer {
                     Err(response) => return response,
                 };
                 let state = self.state.read();
-                let Some(found) = state.collections.iter().find(|c| c.id == collection) else {
+                let Some(found) = state.slot(collection).map(|s| &s.collection) else {
                     return Response::Error {
                         message: format!("no such collection {collection}"),
                     };
@@ -203,20 +259,32 @@ impl TaxiiServer {
                 objects,
             } => {
                 let mut state = self.state.write();
-                let Some(index) = state.collections.iter().position(|c| c.id == collection) else {
+                let Some(slot) = state
+                    .slots
+                    .iter_mut()
+                    .find(|s| s.collection.id == collection)
+                else {
                     return Response::Error {
                         message: format!("no such collection {collection}"),
                     };
                 };
-                if !state.collections[index].can_write {
+                if !slot.collection.can_write {
                     return Response::Error {
                         message: "collection is not writable".into(),
                     };
                 }
-                let stored = objects.len();
-                state.collections[index].add_objects(objects, Timestamp::now());
-                *state.versions.entry(collection).or_insert(0) += 1;
-                Response::Accepted { stored }
+                let accepted = objects.len();
+                if slot.add_new_versions(objects, Timestamp::now()) > 0 {
+                    slot.version += 1;
+                    // Pages keyed by older versions can never be served
+                    // again. Evicting them under the write guard means no
+                    // reader can observe the new version with them cached.
+                    self.cache
+                        .entries
+                        .lock()
+                        .retain(|key, _| key.collection != collection);
+                }
+                Response::Accepted { stored: accepted }
             }
         }
     }
@@ -247,22 +315,22 @@ impl TaxiiServer {
         // cannot slip a newer page under an older version key.
         let response = {
             let state = self.state.read();
-            let Some(found) = state.collections.iter().find(|c| c.id == collection) else {
+            let Some(slot) = state.slot(collection) else {
                 return encode(&Response::Error {
                     message: format!("no such collection {collection}"),
                 })
                 .map(Arc::new);
             };
+            let found = &slot.collection;
             if !found.can_read {
                 return encode(&Response::Error {
                     message: "collection is not readable".into(),
                 })
                 .map(Arc::new);
             }
-            let version = state.versions.get(&collection).copied().unwrap_or(0);
             let key = PageKey {
                 collection,
-                version,
+                version: slot.version,
                 added_after,
                 object_type: object_type.clone(),
                 match_expr,
@@ -312,11 +380,20 @@ impl TaxiiServer {
         if let Some(metrics) = self.cache.metrics.read().as_ref() {
             metrics.misses.inc();
         }
-        let mut entries = self.cache.entries.lock();
-        if entries.len() >= PAGE_CACHE_CAP {
-            entries.clear();
+        // Cache the page only while its version is still current: a write
+        // that landed during the encode has already evicted this
+        // collection's pages, and this one would be dead on arrival.
+        let state = self.state.read();
+        if state
+            .slot(collection)
+            .is_some_and(|s| s.version == key.version)
+        {
+            let mut entries = self.cache.entries.lock();
+            if entries.len() >= PAGE_CACHE_CAP {
+                entries.clear();
+            }
+            entries.insert(key, bytes.clone());
         }
-        entries.insert(key, bytes.clone());
         Ok(bytes)
     }
 
@@ -752,7 +829,7 @@ mod tests {
         let query = cais_search::Query::parse(expr).unwrap();
         let reference = {
             let state = server.state.read();
-            let found = state.collections.iter().find(|c| c.id == id).unwrap();
+            let found = &state.slot(id).unwrap().collection;
             let objects: Vec<serde_json::Value> = found
                 .objects
                 .iter()
@@ -804,6 +881,162 @@ mod tests {
             limit: 10,
         });
         assert!(matches!(response, Response::Error { .. }));
+    }
+
+    fn stix(id: &str, modified: &str, name: &str) -> serde_json::Value {
+        serde_json::json!({"type": "indicator", "id": id, "modified": modified, "name": name})
+    }
+
+    fn push(server: &TaxiiServer, id: Uuid, objects: Vec<serde_json::Value>) -> Response {
+        server.handle(Request::AddObjects {
+            collection: id,
+            objects,
+        })
+    }
+
+    /// Every object of the collection, one page.
+    fn all(server: &TaxiiServer, id: Uuid) -> Vec<serde_json::Value> {
+        match server.handle(Request::GetObjects {
+            collection: id,
+            added_after: None,
+            object_type: None,
+            match_expr: None,
+            limit: MAX_PAGE,
+        }) {
+            Response::Objects { envelope } => envelope.objects,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn version(server: &TaxiiServer, id: Uuid) -> u64 {
+        server.state.read().slot(id).unwrap().version
+    }
+
+    #[test]
+    fn identical_re_push_is_accepted_but_changes_nothing() {
+        let (server, id) = server_with_collection();
+        let objects = vec![
+            stix("indicator--a", "2024-01-01T00:00:00Z", "a"),
+            stix("indicator--b", "2024-01-01T00:00:00Z", "b"),
+        ];
+        assert_eq!(
+            push(&server, id, objects.clone()),
+            Response::Accepted { stored: 2 }
+        );
+        let page = server
+            .get_objects_bytes(id, None, None, None, 10, None)
+            .unwrap();
+        let before = version(&server, id);
+
+        assert_eq!(
+            push(&server, id, objects.clone()),
+            Response::Accepted { stored: 2 }
+        );
+        assert_eq!(all(&server, id), objects);
+        assert_eq!(version(&server, id), before);
+        let again = server
+            .get_objects_bytes(id, None, None, None, 10, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&page, &again), "the cached page survives");
+        assert_eq!(server.page_cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn a_new_modified_stores_a_second_version() {
+        let (server, id) = server_with_collection();
+        push(
+            &server,
+            id,
+            vec![stix("indicator--a", "2024-01-01T00:00:00Z", "a")],
+        );
+        let before = version(&server, id);
+        let response = push(
+            &server,
+            id,
+            vec![
+                stix("indicator--a", "2024-01-01T00:00:00Z", "a"),
+                stix("indicator--a", "2024-02-01T00:00:00Z", "a2"),
+            ],
+        );
+        assert_eq!(response, Response::Accepted { stored: 2 });
+        let names: Vec<_> = all(&server, id).iter().map(|o| o["name"].clone()).collect();
+        assert_eq!(names, ["a", "a2"]);
+        assert_eq!(version(&server, id), before + 1);
+    }
+
+    #[test]
+    fn objects_without_a_version_identity_are_always_appended() {
+        let (server, id) = server_with_collection();
+        let objects = vec![
+            serde_json::json!({"type": "indicator"}),
+            serde_json::json!({"id": "indicator--a"}),
+            serde_json::json!({"modified": "2024-01-01T00:00:00Z"}),
+            serde_json::json!({"id": "indicator--a", "modified": 7}),
+        ];
+        for round in 1..=2 {
+            assert_eq!(
+                push(&server, id, objects.clone()),
+                Response::Accepted { stored: 4 }
+            );
+            assert_eq!(all(&server, id).len(), 4 * round);
+        }
+    }
+
+    #[test]
+    fn dedup_is_per_collection() {
+        let (mut server, first) = server_with_collection();
+        let second = server.add_collection(Collection::new("other", "d"));
+        let object = stix("indicator--a", "2024-01-01T00:00:00Z", "a");
+        push(&server, first, vec![object.clone()]);
+        push(&server, second, vec![object.clone()]);
+        assert_eq!(all(&server, first), all(&server, second));
+        assert_eq!(all(&server, first), [object]);
+    }
+
+    #[test]
+    fn the_first_stored_copy_wins() {
+        let (server, id) = server_with_collection();
+        let at = "2024-01-01T00:00:00Z";
+        push(
+            &server,
+            id,
+            vec![
+                stix("indicator--a", at, "first"),
+                stix("indicator--a", at, "second"),
+            ],
+        );
+        push(&server, id, vec![stix("indicator--a", at, "third")]);
+        assert_eq!(all(&server, id), [stix("indicator--a", at, "first")]);
+    }
+
+    #[test]
+    fn versions_stored_before_registration_are_held() {
+        let mut collection = Collection::new("preloaded", "d");
+        let object = stix("indicator--a", "2024-01-01T00:00:00Z", "a");
+        collection.add_objects(vec![object.clone()], Timestamp::from_unix_secs(1));
+        let mut server = TaxiiServer::new("s");
+        let id = server.add_collection(collection);
+        push(&server, id, vec![object.clone()]);
+        assert_eq!(all(&server, id), [object]);
+        assert_eq!(version(&server, id), 0);
+    }
+
+    #[test]
+    fn a_write_evicts_only_its_collections_stale_pages() {
+        let (mut server, id) = server_with_collection();
+        let other = server.add_collection(Collection::new("other", "d"));
+        for target in [id, other] {
+            push(&server, target, vec![serde_json::json!({ "i": 0 })]);
+            for limit in [1, 2] {
+                server
+                    .get_objects_bytes(target, None, None, None, limit, None)
+                    .unwrap();
+            }
+        }
+        push(&server, id, vec![serde_json::json!({ "i": 1 })]);
+        let entries = server.cache.entries.lock();
+        assert!(entries.keys().all(|key| key.collection != id));
+        assert_eq!(entries.len(), 2, "the other collection's pages stay");
     }
 
     #[test]
