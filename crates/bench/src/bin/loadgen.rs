@@ -1,37 +1,35 @@
 //! High-concurrency serving benchmark: mixed ingest/pull/scrape
-//! traffic against the multiplexed serving core, compared with the
-//! thread-per-connection baseline, at four-digit connection counts.
+//! traffic against the multiplexed serving core at four-digit
+//! connection counts.
 //!
 //! The workload is **poll churn** — connect, pull one page, close —
-//! the shape real TAXII consumers have (HTTP-style polling), and the
-//! one that makes thread-per-connection pay its true cost: one thread
-//! spawn and teardown per poll. The servers run in a child process
-//! (`--server` mode) so the two sides' file descriptors stay under
-//! separate process limits and neither side's allocator interferes
-//! with the other's timing. The client is itself multiplexed — one
-//! driver thread sweeping nonblocking connection state machines — so
-//! the measured ceiling is the server's, not a thread-per-connection
+//! the shape real TAXII consumers have (HTTP-style polling), so every
+//! poll pays the full accept/serve/close cost. The servers run in a
+//! child process (`--server` mode) so their file descriptors stay
+//! under a separate process limit and their allocator does not
+//! interfere with the client's timing. The client is itself
+//! multiplexed — one driver thread sweeping nonblocking connection
+//! state machines — so the measured ceiling is the server's, not the
 //! client's.
 //!
-//! Three phases:
+//! Two phases:
 //!
 //! 1. Poll churn at `connections` concurrent connections against the
-//!    thread-per-connection baseline (wall time for `polls` pulls).
-//! 2. The same churn against the multiplexed core, with per-poll
+//!    core (wall time for `polls` pulls), with per-poll
 //!    request→response latency recorded into the workspace's log₂
 //!    histograms (p50/p95/p99 reported).
-//! 3. A high-scale mixed run against the core alone: `high_scale`
-//!    concurrent connections (target 10k+), 70% pulls / 10% ingests /
-//!    10% match-filtered search polls / 10% telemetry scrapes, every
-//!    connection expecting exactly one response — the run must
-//!    complete with **zero dropped responses**. Search polls' latency
-//!    lands in its own histogram and is reported separately.
+//! 2. A high-scale mixed run: `high_scale` concurrent connections
+//!    (target 10k+), 70% pulls / 10% ingests / 10% match-filtered
+//!    search polls / 10% telemetry scrapes, every connection expecting
+//!    exactly one response — the run must complete with **zero
+//!    dropped responses**. Search polls' latency lands in its own
+//!    histogram and is reported separately.
 //!
 //! Writes `BENCH_serve.json` (schema in [`cais_bench::report`]), gated
 //! by `bench_compare` on the multiplexed polls/sec headline.
 //!
 //! ```text
-//! cargo run --release -p cais-bench --bin loadgen                  # full: 1k compare, 10k mixed
+//! cargo run --release -p cais-bench --bin loadgen                  # full: 1k churn, 10k mixed
 //! cargo run --release -p cais-bench --bin loadgen -- -             # print doc to stdout instead
 //! cargo run --release -p cais-bench --bin loadgen -- 128 1500 256  # connections polls high_scale (CI smoke)
 //! ```
@@ -41,9 +39,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cais_bench::report::{
-    serve_bench_doc, ServeBenchMeasurement, SERVE_BAR_MIN_CONNECTIONS, SERVE_BAR_MIN_SPEEDUP,
-};
+use cais_bench::report::{serve_bench_doc, ServeBenchMeasurement};
 use cais_common::frame::write_frame;
 use cais_common::serve::ServeConfig;
 use cais_common::{Timestamp, Uuid};
@@ -121,38 +117,21 @@ fn main() {
     }));
 
     let registry = Registry::new();
-    let baseline_hist = registry.histogram("loadgen_baseline_poll_nanos");
     let core_hist = registry.histogram("loadgen_poll_nanos");
     let warmup_hist = registry.histogram("loadgen_warmup_nanos");
     let high_scale_hist = registry.histogram("loadgen_high_scale_nanos");
     let search_hist = registry.histogram("loadgen_search_nanos");
 
-    // Warm both servers (page cache, allocator, listener) outside the
-    // timed windows; warmup samples stay out of the reported quantiles.
-    churn(fixture.baseline, &pull, 8, 64, &warmup_hist).expect("baseline warmup");
+    // Warm the server (page cache, allocator, listener) outside the
+    // timed window; warmup samples stay out of the reported quantiles.
     churn(fixture.core, &pull, 8, 64, &warmup_hist).expect("core warmup");
 
-    // Best-of-N wall time per side: on a shared box a single closed-loop
-    // run is at the mercy of scheduler luck, and the least-disturbed rep
-    // is the honest estimate of each server's capacity.
+    // Best-of-N wall time: on a shared box a single closed-loop run is
+    // at the mercy of scheduler luck, and the least-disturbed rep is the
+    // honest estimate of the server's capacity.
     let reps = 3;
     drain_time_wait();
-    eprintln!(
-        "loadgen: churn {polls} polls @ {connections} conns vs thread-per-connection ({reps} reps)…"
-    );
-    let mut baseline_nanos = u64::MAX;
-    for rep in 0..reps {
-        let cal = calibrate();
-        let wall = churn(fixture.baseline, &pull, connections, polls, &baseline_hist)
-            .expect("baseline churn");
-        eprintln!("loadgen:   baseline rep {rep}: {wall:.1?} (cpu probe {cal:.1?})");
-        baseline_nanos = baseline_nanos.min(wall.as_nanos() as u64);
-    }
-
-    drain_time_wait();
-    eprintln!(
-        "loadgen: churn {polls} polls @ {connections} conns vs multiplexed core ({reps} reps)…"
-    );
+    eprintln!("loadgen: churn {polls} polls @ {connections} conns against the core ({reps} reps)…");
     let mut multiplexed_nanos = u64::MAX;
     for rep in 0..reps {
         let cal = calibrate();
@@ -182,7 +161,6 @@ fn main() {
     let measurement = ServeBenchMeasurement {
         connections,
         polls,
-        baseline_nanos,
         multiplexed_nanos,
         p50_nanos: ranks["p50"],
         p95_nanos: ranks["p95"],
@@ -205,11 +183,10 @@ fn main() {
         eprintln!("loadgen: wrote BENCH_serve.json");
     }
     eprintln!(
-        "loadgen: baseline {:.0} polls/s, multiplexed {:.0} polls/s ({:.1}×); \
+        "loadgen: multiplexed {:.0} polls/s (p99 {:.1}ms); \
          high-scale {}/{} responses ({} search polls, p99 {:.1}ms) in {:.1}s",
-        measurement.baseline_polls_per_sec(),
         measurement.multiplexed_polls_per_sec(),
-        measurement.speedup(),
+        measurement.p99_nanos as f64 / 1e6,
         responses,
         high_scale,
         search_responses,
@@ -223,34 +200,20 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // The ≥5× bar is defined at 1k+ connections — below that the
-    // baseline never enters its thrash regime and the ratio measures
-    // thread-spawn cost, not the scheduling collapse the core fixes.
-    if connections >= SERVE_BAR_MIN_CONNECTIONS && measurement.speedup() < SERVE_BAR_MIN_SPEEDUP {
-        eprintln!(
-            "loadgen: FAILED — {:.1}× speedup at {} connections is under the {:.0}× bar",
-            measurement.speedup(),
-            connections,
-            SERVE_BAR_MIN_SPEEDUP,
-        );
-        std::process::exit(1);
-    }
 }
 
 /// The addresses and fixture identity the `--server` child prints on
 /// its first stdout line.
 #[derive(Debug, Clone)]
 struct Fixture {
-    baseline: SocketAddr,
     core: SocketAddr,
     telemetry: SocketAddr,
     collection: Uuid,
 }
 
-/// Child process: binds the thread-per-connection baseline, the
-/// multiplexed TAXII core and a telemetry scrape endpoint over one
-/// fixture server, prints their addresses as one JSON line, then parks
-/// until killed.
+/// Child process: binds the TAXII core and a telemetry scrape endpoint
+/// over one fixture server, prints their addresses as one JSON line,
+/// then parks until killed.
 fn server_mode() {
     let mut server = TaxiiServer::new("loadgen fixture");
     let mut collection = Collection::new("iocs", "loadgen indicators");
@@ -272,9 +235,6 @@ fn server_mode() {
         max_park: Duration::from_micros(500),
         ..ServeConfig::default()
     };
-    let baseline = server
-        .serve_thread_per_conn("127.0.0.1:0")
-        .expect("bind baseline");
     let core = server
         .serve_on_core(
             "127.0.0.1:0",
@@ -293,7 +253,6 @@ fn server_mode() {
     println!(
         "{}",
         serde_json::json!({
-            "baseline": baseline.to_string(),
             "core": core.local_addr().to_string(),
             "telemetry": telemetry.local_addr().to_string(),
             "collection": collection_id,
@@ -340,7 +299,6 @@ impl ServerChild {
                 .expect("addr parse")
         };
         let fixture = Fixture {
-            baseline: addr("baseline"),
             core: addr("core"),
             telemetry: addr("telemetry"),
             collection: doc["collection"]

@@ -8,8 +8,8 @@
 //! cargo run -p cais-bench --bin pipeline_json -- -       # print to stdout instead
 //! ```
 
+use cais_bench::report::{pipeline_bench_doc, PipelineBenchMeasurement};
 use cais_bench::workloads;
-use serde_json::json;
 
 fn main() {
     let mut platform = workloads::platform();
@@ -29,46 +29,14 @@ fn main() {
     let report = platform
         .ingest_feed_records_parallel(records, workers)
         .expect("synthetic ingestion cannot fail");
-    let snapshot = platform.telemetry().snapshot();
-
-    let stages: Vec<_> = report
-        .stages
-        .stages()
-        .into_iter()
-        .map(|(name, stage)| {
-            json!({
-                "stage": name,
-                "records_in": stage.records_in,
-                "records_out": stage.records_out,
-                "dropped": stage.dropped,
-                "wall_nanos": stage.wall_nanos,
-                "input_throughput_rps": stage.throughput(),
-                "output_throughput_rps": stage.output_throughput(),
-            })
-        })
-        .collect();
-
-    let doc = json!({
-        "benchmark": "pipeline_json",
-        "workload": {
-            "seed": seed,
-            "feeds": feeds,
-            "records_per_feed": records_per_feed,
-            "records": total_records,
-            "workers": workers,
-        },
-        "totals": {
-            "records_in": report.records_in,
-            "nlp_filtered": report.nlp_filtered,
-            "benign_filtered": report.benign_filtered,
-            "duplicates_dropped": report.duplicates_dropped,
-            "ciocs": report.ciocs,
-            "eiocs": report.eiocs,
-            "riocs": report.riocs,
-            "total_nanos": report.stages.total_nanos(),
-        },
-        "stages": stages,
-        "telemetry": serde_json::to_value(&snapshot).expect("snapshot serializes"),
+    let doc = pipeline_bench_doc(&PipelineBenchMeasurement {
+        seed,
+        feeds,
+        records_per_feed,
+        records: total_records,
+        workers,
+        report,
+        telemetry: platform.telemetry().snapshot(),
     });
     let text = serde_json::to_string_pretty(&doc).expect("report serializes");
 

@@ -8,10 +8,9 @@
 //! zmq PUB socket.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use cais_common::frame::TraceHeader;
@@ -92,7 +91,7 @@ impl BusServer {
             NoServeMetrics,
         )?;
         // Dropping the handle leaves the core's threads detached, which
-        // preserves this method's historical serve-forever contract.
+        // keeps this method's serve-forever contract.
         drop(handle);
         Ok(server)
     }
@@ -131,32 +130,6 @@ impl BusServer {
         Ok((server, handle))
     }
 
-    /// The historical thread-per-connection accept loop, kept as the
-    /// measured baseline for the multiplexed core and for the
-    /// serving-equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn bind_thread_per_conn(
-        broker: Broker,
-        addr: &str,
-        options: BusServerOptions,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let dropped = Arc::new(AtomicU64::new(0));
-        let accounting = Arc::clone(&dropped);
-        thread::Builder::new()
-            .name("cais-bus-server".into())
-            .spawn(move || accept_loop(listener, broker, options, accounting))
-            .expect("spawn bus server thread");
-        Ok(BusServer {
-            local_addr,
-            dropped,
-        })
-    }
-
     /// The address the server is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
@@ -177,74 +150,9 @@ impl std::fmt::Debug for BusServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    broker: Broker,
-    options: BusServerOptions,
-    dropped: Arc<AtomicU64>,
-) {
-    let counter = options
-        .registry
-        .as_ref()
-        .map(|r| r.counter("bus_tcp_dropped_total"));
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let broker = broker.clone();
-        let dropped = Arc::clone(&dropped);
-        let counter = counter.clone();
-        let max_queued = options.max_queued;
-        let _ = thread::Builder::new()
-            .name("cais-bus-conn".into())
-            .spawn(move || {
-                let _ = serve_client(stream, &broker, max_queued, &dropped, counter.as_ref());
-            });
-    }
-}
-
-fn serve_client(
-    mut stream: TcpStream,
-    broker: &Broker,
-    max_queued: Option<usize>,
-    dropped: &AtomicU64,
-    counter: Option<&Counter>,
-) -> io::Result<()> {
-    // First frame: the subscription pattern as a JSON string.
-    let frame = read_frame(&mut stream)?;
-    let pattern: String = serde_json::from_slice(&frame)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let subscription = broker.subscribe(pattern.as_str());
-    // Ack the handshake with an empty frame so the client knows the
-    // subscription is live before it lets its caller publish.
-    write_frame(&mut stream, &[])?;
-    loop {
-        // Enforce the send-queue bound before blocking: shed the oldest
-        // messages a slow client will never catch up on, and account
-        // for every one shed.
-        if let Some(bound) = max_queued {
-            let mut excess = subscription.queued().saturating_sub(bound);
-            while excess > 0 && subscription.try_recv().is_some() {
-                dropped.fetch_add(1, Ordering::Relaxed);
-                if let Some(counter) = counter {
-                    counter.inc();
-                }
-                excess -= 1;
-            }
-        }
-        // Block in short slices so a closed socket is noticed eventually.
-        if let Some(message) = subscription.recv_timeout(Duration::from_millis(200)) {
-            let bytes = serde_json::to_vec(&message)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            write_frame(&mut stream, &bytes)?;
-        } else {
-            // Probe liveness with a zero-length keepalive frame.
-            write_frame(&mut stream, &[])?;
-        }
-    }
-}
-
 /// How often a streaming connection with no traffic probes liveness
-/// with a zero-length keepalive frame — the cadence the
-/// thread-per-connection loop's 200 ms `recv_timeout` always had.
+/// with a zero-length keepalive frame, so a subscriber that went away
+/// is noticed by the failed write.
 const KEEPALIVE_EVERY: Duration = Duration::from_millis(200);
 
 /// Messages fanned out to one subscriber per sweep; bounds how long a
@@ -303,8 +211,8 @@ impl FrameService for BusService {
                     last_send: Instant::now(),
                 };
             }
-            // The baseline loop never read after the handshake, so
-            // frames a client sends mid-stream are silently ignored.
+            // The stream is push-only: frames a client sends after the
+            // handshake are ignored.
             BusConn::Streaming { .. } => {}
         }
     }
@@ -470,6 +378,8 @@ impl std::fmt::Debug for BusClient {
 mod tests {
     use super::*;
     use crate::topic::Topic;
+    use std::net::TcpListener;
+    use std::thread;
 
     #[test]
     fn frame_roundtrip() {

@@ -1,13 +1,12 @@
 //! The multiplexed serving core shared by every TCP front-end in the
 //! workspace.
 //!
-//! The TAXII server, the telemetry scrape endpoint and the bus bridge
-//! all speak the same length-prefixed framing ([`crate::frame`]), and
-//! since PR 5 a warm response is usually a cached `Arc` memcpy — which
-//! made their historical thread-per-connection accept loops the
-//! serving bottleneck (ROADMAP open item 5). This module replaces the
-//! three divergent loops with one **sharded-acceptor + bounded worker
-//! pool** core:
+//! The TAXII server (including its fault-injecting chaos variant), the
+//! telemetry scrape endpoint and the bus bridge all speak the same
+//! length-prefixed framing ([`crate::frame`]), and a warm response is
+//! usually a cached `Arc` memcpy, so connection handling dominates the
+//! cost of serving. This module is the one accept loop they share: a
+//! **sharded-acceptor + bounded worker pool** core:
 //!
 //! - One acceptor thread accepts on a nonblocking listener, applies a
 //!   max-connection guard, and deals connections round-robin to a
@@ -298,7 +297,7 @@ type Inbox = Arc<Mutex<Vec<(TcpStream, SocketAddr)>>>;
 /// A handle to a running server: its bound address, live counters and
 /// graceful shutdown. Dropping the handle *without* calling
 /// [`ServeHandle::shutdown`] leaves the server running detached for
-/// the life of the process (the legacy accept-loop behaviour).
+/// the life of the process.
 pub struct ServeHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,

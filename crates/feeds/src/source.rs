@@ -150,46 +150,18 @@ impl FeedSource for FileSource {
 
 /// A wrapper injecting deterministic faults into an inner source.
 ///
-/// The modern constructor is [`FlakySource::scripted`]: faults come
-/// from a shared [`FaultPlan`] site, covering every scriptable kind —
-/// fetch errors, parse garbage, truncated payloads and duplicate
-/// replays. The legacy every-`period`-th-fetch-fails constructor
-/// remains for old tests but is deprecated.
+/// Faults come from a shared [`FaultPlan`] site, covering every
+/// scriptable kind — fetch errors, parse garbage, truncated payloads
+/// and duplicate replays.
 pub struct FlakySource<S> {
     inner: S,
-    mode: FlakyMode,
+    plan: FaultPlan,
+    site: String,
     counter: AtomicU64,
     last_payload: Mutex<Option<String>>,
 }
 
-enum FlakyMode {
-    /// Legacy: fetches numbered `period`, `2·period`, … fail (1-based).
-    Period(u64),
-    /// Faults scripted by a shared plan under a named site.
-    Plan { plan: FaultPlan, site: String },
-}
-
 impl<S: FeedSource> FlakySource<S> {
-    /// Wraps `inner` so that fetches numbered `period`, `2·period`, …
-    /// fail (1-based). A period of 1 makes every fetch fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use FlakySource::scripted with a FaultPlan (every_nth mode reproduces period semantics)"
-    )]
-    pub fn new(inner: S, period: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        FlakySource {
-            inner,
-            mode: FlakyMode::Period(period),
-            counter: AtomicU64::new(0),
-            last_payload: Mutex::new(None),
-        }
-    }
-
     /// Wraps `inner` so every fetch consults `plan` at `site`. Error
     /// and ack-lost faults fail the fetch; garbage, truncation and
     /// replay mangle the payload (replay serves the last payload this
@@ -198,10 +170,8 @@ impl<S: FeedSource> FlakySource<S> {
     pub fn scripted(inner: S, plan: FaultPlan, site: impl Into<String>) -> Self {
         FlakySource {
             inner,
-            mode: FlakyMode::Plan {
-                plan,
-                site: site.into(),
-            },
+            plan,
+            site: site.into(),
             counter: AtomicU64::new(0),
             last_payload: Mutex::new(None),
         }
@@ -228,13 +198,7 @@ impl<S: FeedSource> FeedSource for FlakySource<S> {
 
     fn fetch(&self) -> Result<String, FeedError> {
         let attempt = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let fault = match &self.mode {
-            FlakyMode::Period(period) => {
-                attempt.is_multiple_of(*period).then_some(FaultKind::Error)
-            }
-            FlakyMode::Plan { plan, site } => plan.next(site),
-        };
-        match fault {
+        match self.plan.next(&self.site) {
             Some(FaultKind::Error) | Some(FaultKind::AckLost) => Err(FeedError::fetch(
                 self.inner.name(),
                 format!("injected failure on attempt {attempt}"),
@@ -255,13 +219,10 @@ impl<S: FeedSource> FeedSource for FlakySource<S> {
 
 impl<S: std::fmt::Debug> std::fmt::Debug for FlakySource<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("FlakySource");
-        s.field("inner", &self.inner);
-        match &self.mode {
-            FlakyMode::Period(period) => s.field("period", period),
-            FlakyMode::Plan { site, .. } => s.field("site", site),
-        };
-        s.finish()
+        f.debug_struct("FlakySource")
+            .field("inner", &self.inner)
+            .field("site", &self.site)
+            .finish()
     }
 }
 
@@ -314,24 +275,6 @@ mod tests {
             dir.join("no-such-file.txt"),
         );
         assert!(matches!(missing.fetch(), Err(FeedError::Fetch { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn flaky_source_fails_periodically() {
-        let source = FlakySource::new(mem("evil.example\n"), 3);
-        assert!(source.fetch().is_ok()); // 1
-        assert!(source.fetch().is_ok()); // 2
-        assert!(source.fetch().is_err()); // 3
-        assert!(source.fetch().is_ok()); // 4
-        assert_eq!(source.attempts(), 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "period must be positive")]
-    fn flaky_zero_period_panics() {
-        let _ = FlakySource::new(mem(""), 0);
     }
 
     #[test]

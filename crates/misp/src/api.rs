@@ -193,16 +193,6 @@ impl MispApi {
             .collect()
     }
 
-    /// Events whose attributes carry the exact value, deep-cloned as
-    /// `(event_id, event)` pairs.
-    #[deprecated(note = "use search_value() for zero-clone versioned results")]
-    pub fn search_value_cloned(&self, value: &str) -> Vec<(u64, MispEvent)> {
-        self.search_value(value)
-            .into_iter()
-            .map(|v| (v.event.id, (*v.event).clone()))
-            .collect()
-    }
-
     /// Filtered search over events, as zero-clone versioned handles
     /// ordered by event id. Routes through the attached
     /// [`SearchBackend`] when one is set (the `cais-search` inverted

@@ -720,13 +720,12 @@ mod tests {
         store
     }
 
-    #[allow(deprecated)]
     fn naive_pull(store: &MispStore, format: &str) -> String {
         let registry = ExportRegistry::with_builtins();
         store
-            .all()
+            .snapshot()
             .iter()
-            .map(|event| registry.export(format, event).unwrap().unwrap())
+            .map(|versioned| registry.export(format, &versioned.event).unwrap().unwrap())
             .collect::<Vec<_>>()
             .join("\n")
     }

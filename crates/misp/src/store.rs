@@ -635,15 +635,6 @@ impl MispStore {
         out
     }
 
-    /// Runs a filtered search, deep-cloning matching events.
-    #[deprecated(note = "use search_linear() for zero-clone versioned results")]
-    pub fn search(&self, query: &SearchQuery) -> Vec<MispEvent> {
-        self.search_linear(query)
-            .into_iter()
-            .map(|v| (*v.event).clone())
-            .collect()
-    }
-
     /// Runs a filtered search by linear scan, returning shared
     /// (`Arc`) event handles plus their versions, ordered by event id.
     /// This is the reference evaluation the `cais-search` inverted
@@ -769,19 +760,6 @@ impl MispStore {
             .read()
             .get(&value.trim().to_ascii_lowercase())
             .map_or(0, Vec::len)
-    }
-
-    /// Deep-cloned copy of all events, ordered by id.
-    #[deprecated(note = "use snapshot()/for_each")]
-    pub fn all(&self) -> Vec<MispEvent> {
-        let mut out: Vec<MispEvent> = self
-            .events
-            .read()
-            .values()
-            .map(|s| (*s.event).clone())
-            .collect();
-        out.sort_by_key(|e| e.id);
-        out
     }
 }
 
@@ -1021,11 +999,6 @@ mod tests {
             ..SearchQuery::default()
         });
         assert!(none.is_empty());
-
-        // The deprecated cloning shim stays equivalent.
-        #[allow(deprecated)]
-        let cloned = store.search(&SearchQuery::default());
-        assert_eq!(cloned.len(), store.len());
     }
 
     #[test]

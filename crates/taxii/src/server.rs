@@ -1,4 +1,5 @@
-//! The TAXII server: collection storage plus the TCP accept loop.
+//! The TAXII server: collection storage served over framed TCP on the
+//! multiplexed core ([`cais_common::serve`]).
 //!
 //! Pull-heavy federations re-request the same pages over and over; the
 //! server therefore keeps a bounded byte cache of serialized
@@ -15,13 +16,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
-use cais_bus::tcp::{read_frame, write_frame};
-use cais_common::frame::{read_frame_traced, TraceHeader};
+use cais_common::frame::TraceHeader;
 use cais_common::resilience::{FaultKind, FaultPlan};
 use cais_common::serve::{
     self, FrameService, NoServeMetrics, Outbox, ServeConfig, ServeHandle, ServeMetrics,
@@ -204,7 +203,7 @@ impl TaxiiServer {
     }
 
     /// Handles one request against the in-memory state. This is the
-    /// whole service logic; the TCP loop just frames it.
+    /// whole service logic; the serving core just frames it.
     pub fn handle(&self, request: Request) -> Response {
         match request {
             Request::Discovery => Response::Discovery {
@@ -445,7 +444,7 @@ impl TaxiiServer {
         let handle = self.serve_on_core(addr, ServeConfig::default(), NoServeMetrics)?;
         let local_addr = handle.local_addr();
         // Dropping the handle leaves the core's threads detached, which
-        // preserves this method's historical serve-forever contract.
+        // keeps this method's serve-forever contract.
         drop(handle);
         Ok(local_addr)
     }
@@ -475,47 +474,6 @@ impl TaxiiServer {
         )
     }
 
-    /// The historical thread-per-connection accept loop, kept as the
-    /// measured baseline for the multiplexed core (`cais-loadgen`
-    /// compares the two) and for the serving-equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn serve_thread_per_conn(&self, addr: &str) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let server = self.clone();
-        thread::Builder::new()
-            .name("cais-taxii-server".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    let server = server.clone();
-                    let _ =
-                        thread::Builder::new()
-                            .name("cais-taxii-conn".into())
-                            .spawn(move || {
-                                let _ = server.serve_connection(stream);
-                            });
-                }
-            })
-            .expect("spawn taxii server thread");
-        Ok(local_addr)
-    }
-
-    fn serve_connection(&self, mut stream: TcpStream) -> io::Result<()> {
-        loop {
-            // Traced clients tag their request frames with a trace
-            // header; untagged frames from pre-trace peers decode with
-            // `None` and the request roots a fresh trace.
-            let (header, frame) = read_frame_traced(&mut stream)?;
-            let wire = header.map(TraceContext::from_header);
-            let bytes = self.response_bytes(&frame, wire)?;
-            write_frame(&mut stream, &bytes)?;
-        }
-    }
-
     /// Like [`TaxiiServer::serve`], but every request frame consults
     /// `plan` at `site` first — the chaos harness:
     ///
@@ -542,80 +500,24 @@ impl TaxiiServer {
         plan: FaultPlan,
         site: impl Into<String>,
     ) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let server = self.clone();
-        let site = site.into();
-        thread::Builder::new()
-            .name("cais-taxii-chaos".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    let server = server.clone();
-                    let plan = plan.clone();
-                    let site = site.clone();
-                    let _ = thread::Builder::new()
-                        .name("cais-taxii-chaos-conn".into())
-                        .spawn(move || {
-                            let _ = server.serve_connection_chaos(stream, &plan, &site);
-                        });
-                }
-            })
-            .expect("spawn chaos taxii server thread");
+        let service = ChaosService {
+            server: self.clone(),
+            plan,
+            site: site.into(),
+        };
+        let handle = serve::serve(addr, ServeConfig::default(), service, NoServeMetrics)?;
+        let local_addr = handle.local_addr();
+        // Detached, like `serve`: the chaos server runs for the life of
+        // the process.
+        drop(handle);
         Ok(local_addr)
-    }
-
-    fn serve_connection_chaos(
-        &self,
-        mut stream: TcpStream,
-        plan: &FaultPlan,
-        site: &str,
-    ) -> io::Result<()> {
-        let mut previous: Option<Arc<Vec<u8>>> = None;
-        loop {
-            let frame = read_frame(&mut stream)?;
-            let fault = plan.next(site);
-            match fault {
-                Some(FaultKind::Error) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected frame drop",
-                    ));
-                }
-                Some(FaultKind::AckLost) => {
-                    if let Ok(request) = serde_json::from_slice::<Request>(&frame) {
-                        let _ = self.handle(request);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected ack loss",
-                    ));
-                }
-                Some(FaultKind::Garbage) => {
-                    write_frame(&mut stream, b"\x01\x02%%% injected garbage %%%\x03")?;
-                }
-                Some(FaultKind::Truncate) => {
-                    let bytes = self.response_bytes(&frame, None)?;
-                    write_frame(&mut stream, &bytes[..bytes.len() / 2])?;
-                }
-                Some(FaultKind::Replay) if previous.is_some() => {
-                    let bytes = previous.clone().expect("checked above");
-                    write_frame(&mut stream, &bytes)?;
-                }
-                Some(FaultKind::Replay) | Some(FaultKind::Delay(_)) | None => {
-                    let bytes = self.response_bytes(&frame, None)?;
-                    write_frame(&mut stream, &bytes)?;
-                    previous = Some(bytes);
-                }
-            }
-        }
     }
 }
 
 /// The TAXII request/response protocol as a [`FrameService`]: each
 /// inbound frame is one request, each reply is the (possibly
-/// page-cached) serialized response, written untagged exactly as the
-/// thread-per-connection loop always has.
+/// page-cached) serialized response, written untagged — clients read
+/// replies with the untagged `read_frame`.
 struct TaxiiService {
     server: TaxiiServer,
 }
@@ -637,6 +539,62 @@ impl FrameService for TaxiiService {
             // Cached pages are an `Arc` already — queue them zero-copy.
             Ok(bytes) => out.push_shared(bytes),
             Err(_) => out.close(),
+        }
+    }
+}
+
+/// [`TaxiiService`] with a fault plan consulted before every request
+/// frame; see [`TaxiiServer::serve_chaos`] for what each fault does.
+struct ChaosService {
+    server: TaxiiServer,
+    plan: FaultPlan,
+    site: String,
+}
+
+/// Garbage injected in place of a response frame.
+const GARBAGE_FRAME: &[u8] = b"\x01\x02%%% injected garbage %%%\x03";
+
+impl FrameService for ChaosService {
+    /// The previous response on this connection, for `Replay`.
+    type Conn = Option<Arc<Vec<u8>>>;
+
+    fn on_connect(&self, _peer: SocketAddr) -> Self::Conn {
+        None
+    }
+
+    fn on_frame(
+        &self,
+        previous: &mut Self::Conn,
+        header: Option<TraceHeader>,
+        payload: Vec<u8>,
+        out: &mut Outbox,
+    ) {
+        let wire = header.map(TraceContext::from_header);
+        match self.plan.next(&self.site) {
+            Some(FaultKind::Error) => out.close(),
+            Some(FaultKind::AckLost) => {
+                if let Ok(request) = serde_json::from_slice::<Request>(&payload) {
+                    let _ = self.server.handle(request);
+                }
+                out.close();
+            }
+            Some(FaultKind::Garbage) => out.push_owned(GARBAGE_FRAME.to_vec()),
+            Some(FaultKind::Truncate) => match self.server.response_bytes(&payload, wire) {
+                Ok(bytes) => out.push_owned(bytes[..bytes.len() / 2].to_vec()),
+                Err(_) => out.close(),
+            },
+            Some(FaultKind::Replay) if previous.is_some() => {
+                out.push_shared(previous.clone().expect("checked above"));
+            }
+            Some(FaultKind::Replay) | Some(FaultKind::Delay(_)) | None => {
+                match self.server.response_bytes(&payload, wire) {
+                    Ok(bytes) => {
+                        *previous = Some(Arc::clone(&bytes));
+                        out.push_shared(bytes);
+                    }
+                    Err(_) => out.close(),
+                }
+            }
         }
     }
 }
@@ -1057,5 +1015,105 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters["taxii_page_cache_hits_total"], 1);
         assert_eq!(snapshot.counters["taxii_page_cache_misses_total"], 1);
+    }
+
+    /// A traced client tags its request frames with `TRACE_FLAG`; the
+    /// chaos server must parse them like every other server does.
+    #[test]
+    fn chaos_server_answers_a_traced_client() {
+        let (server, id) = server_with_collection();
+        push(&server, id, vec![stix("indicator--a", "2019-01-01", "a")]);
+        let addr = server
+            .serve_chaos("127.0.0.1:0", FaultPlan::healthy(), "taxii.frame")
+            .unwrap();
+        let client = crate::TaxiiClient::connect(addr).unwrap();
+        client.set_tracer(&Tracer::new());
+        assert_eq!(client.discovery().unwrap(), "test server");
+        assert_eq!(client.objects(&id, None).unwrap().objects.len(), 1);
+    }
+
+    /// Each fault kind, scripted one frame at a time, does what
+    /// `serve_chaos` documents.
+    #[test]
+    fn chaos_service_applies_each_fault_kind() {
+        use cais_common::frame::{read_frame, write_frame};
+        use std::io::Read;
+        use std::net::TcpStream;
+
+        let (server, id) = server_with_collection();
+        let plan = FaultPlan::new(0).script(
+            "chaos",
+            vec![
+                Some(FaultKind::Error),
+                Some(FaultKind::AckLost),
+                Some(FaultKind::Replay),
+                Some(FaultKind::Garbage),
+                Some(FaultKind::Truncate),
+                None,
+                Some(FaultKind::Replay),
+                Some(FaultKind::Delay(5)),
+            ],
+        );
+        let addr = server.serve_chaos("127.0.0.1:0", plan, "chaos").unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            stream
+        };
+        let send = |stream: &mut TcpStream, request: &Request| {
+            write_frame(stream, &serde_json::to_vec(request).unwrap()).unwrap();
+        };
+        let closes_without_reply = |mut stream: TcpStream| {
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            rest.is_empty()
+        };
+        let reference = |request: Request| serde_json::to_vec(&server.handle(request)).unwrap();
+        let add = |object| Request::AddObjects {
+            collection: id,
+            objects: vec![object],
+        };
+
+        // Error: the frame is lost, the request not applied.
+        let mut stream = connect();
+        send(&mut stream, &add(stix("indicator--e", "2019-01-01", "e")));
+        assert!(closes_without_reply(stream), "Error");
+        assert!(all(&server, id).is_empty());
+
+        // AckLost: the request is applied, the reply lost.
+        let mut stream = connect();
+        send(&mut stream, &add(stix("indicator--a", "2019-01-01", "a")));
+        assert!(closes_without_reply(stream), "AckLost");
+        assert_eq!(all(&server, id).len(), 1);
+
+        let mut stream = connect();
+        // Replay with nothing to replay yet: a normal reply.
+        send(&mut stream, &Request::Discovery);
+        assert_eq!(
+            read_frame(&mut stream).unwrap(),
+            reference(Request::Discovery)
+        );
+        // Garbage: the garbage frame instead of the reply.
+        send(&mut stream, &Request::Collections);
+        assert_eq!(read_frame(&mut stream).unwrap(), GARBAGE_FRAME);
+        // Truncate: the first half of the reply.
+        send(&mut stream, &Request::Discovery);
+        let discovery = reference(Request::Discovery);
+        assert_eq!(
+            read_frame(&mut stream).unwrap(),
+            &discovery[..discovery.len() / 2]
+        );
+        // No fault: a normal reply, remembered for the next replay.
+        send(&mut stream, &Request::Collections);
+        let collections = reference(Request::Collections);
+        assert_eq!(read_frame(&mut stream).unwrap(), collections);
+        // Replay: the previous reply instead of this one.
+        send(&mut stream, &Request::Discovery);
+        assert_eq!(read_frame(&mut stream).unwrap(), collections);
+        // Delay: virtual, so a normal reply.
+        send(&mut stream, &Request::Discovery);
+        assert_eq!(read_frame(&mut stream).unwrap(), discovery);
     }
 }

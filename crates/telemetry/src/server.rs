@@ -23,9 +23,8 @@
 //! connection stays open, so a curious `nc` probe can't wedge the
 //! endpoint.
 
-use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use cais_common::frame::{read_frame, write_frame, TraceHeader};
@@ -75,7 +74,7 @@ impl TelemetryServer {
         )?;
         let local_addr = handle.local_addr();
         // Dropping the handle leaves the core's threads detached, which
-        // preserves this method's historical serve-forever contract.
+        // keeps this method's serve-forever contract.
         drop(handle);
         Ok(TelemetryServer { local_addr })
     }
@@ -99,27 +98,6 @@ impl TelemetryServer {
         serve::serve(addr, config, ScrapeService { registry, tracer }, metrics)
     }
 
-    /// The historical thread-per-connection accept loop, kept as the
-    /// measured baseline for the multiplexed core and for the
-    /// serving-equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn bind_thread_per_conn(
-        registry: Registry,
-        tracer: Option<Tracer>,
-        addr: &str,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        thread::Builder::new()
-            .name("cais-telemetry-server".into())
-            .spawn(move || accept_loop(listener, registry, tracer))
-            .expect("spawn telemetry server thread");
-        Ok(TelemetryServer { local_addr })
-    }
-
     /// The address the server is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
@@ -134,24 +112,8 @@ impl std::fmt::Debug for TelemetryServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, registry: Registry, tracer: Option<Tracer>) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let registry = registry.clone();
-        let tracer = tracer.clone();
-        let _ = thread::Builder::new()
-            .name("cais-telemetry-conn".into())
-            .spawn(move || {
-                let _ = serve_client(stream, &registry, tracer.as_ref());
-            });
-    }
-}
-
 /// One scrape exchange: the response frame for one command frame, or an
 /// error when the frame is not a JSON string (the connection closes).
-/// Both serving paths (the multiplexed core and the thread-per-conn
-/// baseline) call this, so their responses are identical by
-/// construction.
 fn respond(frame: &[u8], registry: &Registry, tracer: Option<&Tracer>) -> io::Result<Vec<u8>> {
     let command: String =
         serde_json::from_slice(frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -181,22 +143,10 @@ fn respond(frame: &[u8], registry: &Registry, tracer: Option<&Tracer>) -> io::Re
     })
 }
 
-fn serve_client(
-    mut stream: TcpStream,
-    registry: &Registry,
-    tracer: Option<&Tracer>,
-) -> io::Result<()> {
-    loop {
-        let frame = read_frame(&mut stream)?;
-        let response = respond(&frame, registry, tracer)?;
-        write_frame(&mut stream, &response)?;
-    }
-}
-
 /// The scrape protocol as a [`FrameService`]: strict request/response;
-/// an unparseable command frame closes the connection (exactly as the
-/// baseline loop's error return did), an unknown command answers with
-/// a JSON error and the connection survives.
+/// an unparseable command frame closes the connection without a reply,
+/// an unknown command answers with a JSON error and the connection
+/// survives.
 struct ScrapeService {
     registry: Registry,
     tracer: Option<Tracer>,
