@@ -1,12 +1,11 @@
-//! Fixed-width bitsets over dense slot ids — the evaluation currency
-//! of the query compiler.
-//!
-//! Generalized from `cais_infra::index::NodeBitset`: same block layout
-//! (64 slots per `u64`, sized lazily to the highest set bit), extended
-//! with the intersection and subtraction the boolean operators need on
-//! top of the union the infra matcher already used.
+//! Growable bitsets over dense slot ids: 64 slots per `u64` block,
+//! sized lazily to the highest set bit. The search index evaluates
+//! queries with them (union, intersection, subtraction) and the
+//! inventory match index unions node sets with them.
 
-/// A growable bitset over dense slot ids.
+/// A growable bitset over dense slot ids. Every method is `#[inline]`:
+/// the callers live in other crates and set or walk bits in tight
+/// loops, and without the hint each bit operation stays a call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotBitset {
     blocks: Vec<u64>,
@@ -14,11 +13,13 @@ pub struct SlotBitset {
 
 impl SlotBitset {
     /// Creates an empty bitset.
+    #[inline]
     pub fn new() -> Self {
         SlotBitset::default()
     }
 
     /// Sets one slot's bit, growing the block vector as needed.
+    #[inline]
     pub fn set(&mut self, slot: u32) {
         let (block, bit) = (slot as usize / 64, slot as usize % 64);
         if block >= self.blocks.len() {
@@ -28,6 +29,7 @@ impl SlotBitset {
     }
 
     /// Clears one slot's bit (no-op when out of range).
+    #[inline]
     pub fn clear(&mut self, slot: u32) {
         let (block, bit) = (slot as usize / 64, slot as usize % 64);
         if let Some(b) = self.blocks.get_mut(block) {
@@ -36,22 +38,26 @@ impl SlotBitset {
     }
 
     /// Whether the slot's bit is set.
+    #[inline]
     pub fn contains(&self, slot: u32) -> bool {
         let (block, bit) = (slot as usize / 64, slot as usize % 64);
         self.blocks.get(block).is_some_and(|b| b & (1 << bit) != 0)
     }
 
     /// Whether no bit is set.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.blocks.iter().all(|&b| b == 0)
     }
 
     /// Number of set bits.
+    #[inline]
     pub fn count(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// `self |= other`.
+    #[inline]
     pub fn union_with(&mut self, other: &SlotBitset) {
         if other.blocks.len() > self.blocks.len() {
             self.blocks.resize(other.blocks.len(), 0);
@@ -62,6 +68,7 @@ impl SlotBitset {
     }
 
     /// `self &= other`.
+    #[inline]
     pub fn intersect_with(&mut self, other: &SlotBitset) {
         for (i, dst) in self.blocks.iter_mut().enumerate() {
             *dst &= other.blocks.get(i).copied().unwrap_or(0);
@@ -69,6 +76,7 @@ impl SlotBitset {
     }
 
     /// `self &= !other`.
+    #[inline]
     pub fn subtract(&mut self, other: &SlotBitset) {
         for (dst, src) in self.blocks.iter_mut().zip(&other.blocks) {
             *dst &= !src;
@@ -76,6 +84,7 @@ impl SlotBitset {
     }
 
     /// Iterates set slots in ascending order.
+    #[inline]
     pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.blocks.iter().enumerate().flat_map(|(i, &block)| {
             let mut bits = block;

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bitset;
 pub mod frame;
 pub mod observable;
 pub mod resilience;
@@ -39,6 +40,7 @@ pub mod serve;
 pub mod time;
 pub mod uuid;
 
+pub use bitset::SlotBitset;
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use observable::{Observable, ObservableKind};
 pub use time::{Age, Timestamp, TimestampParseError};

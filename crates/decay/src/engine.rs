@@ -1,9 +1,8 @@
 //! The lifecycle engine: incremental rescoring and expiry sweeps.
 //!
 //! [`DecayEngine`] keeps a dense per-indicator entry `{base, anchor}`
-//! and consumes the store's mutation changelog (PR 5 generation
-//! counter, extended here with per-generation event ids): a rescore
-//! pass asks the store which events moved since the last pass,
+//! and follows the store's change feed ([`MispStore::changes`]): a
+//! rescore pass asks the store which events moved since the last pass,
 //! re-derives the taxonomy base only for those, then decays every
 //! tracked indicator in one linear walk — no store lock, no hashmap
 //! probe, no tag parsing for the unchanged majority. The
@@ -23,7 +22,7 @@ use std::time::Duration;
 use cais_common::resilience::{Clock, Sleeper, SystemClock};
 use cais_common::time::MILLIS_PER_DAY;
 use cais_common::{Timestamp, Uuid};
-use cais_misp::{MispError, MispEvent, MispStore, Tag};
+use cais_misp::{ChangeCursor, MispError, MispEvent, MispStore, Tag};
 use cais_telemetry::{Counter, Gauge, Registry, Tracer};
 use parking_lot::Mutex;
 
@@ -104,9 +103,9 @@ struct EngineState {
     by_id: HashMap<u64, usize>,
     by_uuid: HashMap<Uuid, usize>,
     ledger: SightingLedger,
-    /// Store generation as of the last sync, `None` before the first
-    /// pass (or for a store this engine has never seen).
-    synced_generation: Option<u64>,
+    /// Where the last sync left the store's change feed; `None`
+    /// before the first pass.
+    cursor: Option<ChangeCursor>,
 }
 
 impl EngineState {
@@ -225,82 +224,53 @@ impl DecayEngine {
         self.model.score_at(base, elapsed_days)
     }
 
-    /// Synchronizes the tracked entries with the store, re-deriving
-    /// bases only for events the store's changelog reports as moved.
-    /// Falls back to a full rebuild when the changelog cannot answer
-    /// (first pass, or a store this engine has never synced). Returns
-    /// how many bases were re-derived.
+    /// Synchronizes the tracked entries with the store's change feed,
+    /// re-deriving bases only for the events it reports. A reset (the
+    /// first pass, or a pass over another store than the last) drops
+    /// every entry and the sightings of events the store does not hold.
+    /// Returns how many bases were re-derived.
     fn sync(&self, state: &mut EngineState, store: &MispStore) -> usize {
-        let generation = store.generation();
-        let changed = match state.synced_generation {
-            Some(last) if last == generation => Some(Vec::new()),
-            Some(last) => store.changed_event_ids_since(last),
-            None => None,
-        };
-        let rebased = match changed {
-            Some(ids) => {
-                // The ids are deduped, so each is visited once: updates
-                // rewrite in place via `by_id`, new events append (index
-                // rebuild deferred), departures collect for a single
-                // retain pass afterwards — removing mid-loop would shift
-                // the indexes `by_id` still points at.
-                let mut appended = false;
-                let mut gone: Vec<Uuid> = Vec::new();
-                let mut rebased = 0;
-                for id in ids {
-                    let Some(versioned) = store.versioned(id) else {
-                        if let Some(&idx) = state.by_id.get(&id) {
-                            gone.push(state.entries[idx].uuid);
-                        }
-                        continue;
-                    };
-                    let event = &versioned.event;
-                    let entry = Entry {
-                        event_id: id,
-                        uuid: event.uuid,
-                        base: self.scorer.base_score(event),
-                        anchor: DecayEngine::anchor(&state.ledger, event),
-                    };
-                    rebased += 1;
-                    if let Some(&idx) = state.by_id.get(&id) {
-                        state.entries[idx] = entry;
-                    } else {
-                        state.entries.push(entry);
-                        appended = true;
-                    }
-                }
-                if !gone.is_empty() {
-                    state.entries.retain(|e| !gone.contains(&e.uuid));
-                    state.ledger.retain(|uuid| !gone.contains(uuid));
-                }
-                if appended || !gone.is_empty() {
-                    state.rebuild_indexes();
-                }
-                rebased
+        let batch = store.changes(state.cursor);
+        if batch.reset {
+            state.entries.clear();
+            state.by_id.clear();
+        }
+        // The ids are distinct, so each is visited once: updates rewrite
+        // in place via `by_id`, new events append and the indexes are
+        // rebuilt once afterwards.
+        let mut appended = false;
+        let mut rebased = 0;
+        for id in batch.ids {
+            let Some(event) = store.get_arc(id) else {
+                continue;
+            };
+            let entry = Entry {
+                event_id: id,
+                uuid: event.uuid,
+                base: self.scorer.base_score(&event),
+                anchor: DecayEngine::anchor(&state.ledger, &event),
+            };
+            rebased += 1;
+            if let Some(&idx) = state.by_id.get(&id) {
+                state.entries[idx] = entry;
+            } else {
+                state.entries.push(entry);
+                appended = true;
             }
-            None => {
-                // Cold pass or unknown store: rebuild everything.
-                state.entries.clear();
-                store.for_each_versioned(|event, _version| {
-                    state.entries.push(Entry {
-                        event_id: event.id,
-                        uuid: event.uuid,
-                        base: self.scorer.base_score(event),
-                        anchor: DecayEngine::anchor(&state.ledger, event),
-                    });
-                });
-                state.rebuild_indexes();
-                let by_uuid = std::mem::take(&mut state.by_uuid);
-                state.ledger.retain(|uuid| by_uuid.contains_key(uuid));
-                state.by_uuid = by_uuid;
-                state.entries.len()
-            }
-        };
-        state.synced_generation = Some(generation);
+        }
+        if appended || batch.reset {
+            state.rebuild_indexes();
+        }
+        if batch.reset {
+            let by_uuid = std::mem::take(&mut state.by_uuid);
+            state.ledger.retain(|uuid| by_uuid.contains_key(uuid));
+            state.by_uuid = by_uuid;
+        }
+        state.cursor = Some(batch.cursor);
         rebased
     }
 
-    /// Incremental rescore: consumes the store changelog to re-derive
+    /// Incremental rescore: follows the store's change feed to re-derive
     /// bases only for events whose version moved since the previous
     /// pass, then scores every tracked indicator in one dense walk.
     /// Results come back in store-id order.
@@ -550,7 +520,7 @@ mod tests {
 
         // A repeat sweep with nothing changed writes nothing. Its
         // rescore re-derives the one event the flip above wrote (the
-        // changelog reports it), and because `cais:decay-*` tags feed
+        // change feed reports it), and because `cais:decay-*` tags feed
         // no taxonomy profile the base comes back unchanged.
         let idle = engine.sweep(&store).expect("sweep");
         assert_eq!(idle.flipped_expired + idle.flipped_active, 0);
@@ -599,8 +569,20 @@ mod tests {
         let (_, first) = engine.rescore(&store);
         assert_eq!(first.scored, 3);
 
-        // A fresh store with one of the three events gone.
-        let survivor = store.get(2).expect("event");
+        // Another store *ahead* of the one last synced: its log
+        // positions say nothing about what the engine derived, so the
+        // pass resets instead of keeping the first store's events.
+        let busier = store_with_events(3, &clock);
+        busier
+            .update(3, |event| event.info.push('!'))
+            .expect("update");
+        assert!(busier.generation() > store.generation());
+        let (scores, moved) = engine.rescore(&busier);
+        assert_eq!(scores, engine.score_from_scratch(&busier));
+        assert_eq!(moved.rebased, 3);
+
+        // A fresh store with two of the three events gone.
+        let survivor = busier.get(2).expect("event");
         let rebuilt = MispStore::new();
         rebuilt.insert(survivor).expect("insert");
         let (scores, _) = engine.rescore(&rebuilt);

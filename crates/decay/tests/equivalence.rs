@@ -1,8 +1,9 @@
 //! Property test for the decay engine's central contract: for **any**
-//! interleaving of sightings, store churn, expiry sweeps, inserts and
-//! clock advances, the incremental rescore (changelog-driven base
-//! reuse) must agree exactly with the from-scratch oracle that
-//! re-derives every base from the event's tags.
+//! interleaving of sightings, store churn, expiry sweeps, inserts,
+//! clock advances and moves to another store, the incremental rescore
+//! (change-feed-driven base reuse) must agree exactly with the
+//! from-scratch oracle that re-derives every base from the event's
+//! tags.
 
 use std::sync::Arc;
 
@@ -31,7 +32,7 @@ proptest! {
     #[test]
     fn incremental_rescore_matches_the_from_scratch_oracle(
         initial in 2usize..8,
-        ops in prop::collection::vec((0u8..5, 0usize..32, 1i64..9), 1..24),
+        ops in prop::collection::vec((0u8..6, 0usize..32, 1i64..9), 1..24),
     ) {
         let clock = VirtualClock::starting_at(Timestamp::from_unix_millis(
             40 * MILLIS_PER_DAY,
@@ -41,7 +42,7 @@ proptest! {
             BaseScorer::cais_default(),
             Arc::new(clock.clone()),
         );
-        let store = MispStore::new();
+        let mut store = MispStore::new();
         let mut count = 0usize;
         for i in 0..initial {
             let id = store.insert(seeded_event(i, clock.now())).unwrap();
@@ -64,6 +65,21 @@ proptest! {
                 // Expiry sweep: flips write back into the store.
                 3 => {
                     engine.sweep(&store).unwrap();
+                }
+                // The engine moves to another store whose generation
+                // is at least the current one's, so only the store's
+                // identity tells the two change logs apart.
+                4 => {
+                    let other = MispStore::new();
+                    count = idx % 6 + 1;
+                    for i in 0..count {
+                        let id = other.insert(seeded_event(i + 100, clock.now())).unwrap();
+                        other.publish(id).unwrap();
+                    }
+                    while other.generation() < store.generation() {
+                        other.update(1, |event| event.info.push('!')).unwrap();
+                    }
+                    store = other;
                 }
                 // A new indicator arrives mid-stream.
                 _ => {

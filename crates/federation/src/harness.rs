@@ -37,7 +37,7 @@ use cais_common::resilience::{
 use cais_common::serve::{NoServeMetrics, ServeConfig, ServeHandle};
 use cais_common::Uuid;
 use cais_misp::event::MispEvent;
-use cais_misp::{sync, MispError};
+use cais_misp::{sync, ChangeCursor, MispError};
 use cais_telemetry::{Registry, TraceContext, Tracer};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -73,11 +73,12 @@ struct EdgeState {
     site: String,
     /// `Some` on TCP edges, `None` in-proc.
     client: Option<FederationClient>,
-    /// Last source-store generation fully acknowledged by the
-    /// destination. The delta-sync cursor: each round pushes only
-    /// events changed past it, and it advances only when every chunk
-    /// was acked (or the delta was entirely ineligible).
-    cursor: u64,
+    /// The source store's change-feed cursor as of the last delta the
+    /// destination fully acknowledged; `None` before the first. Each
+    /// round pushes only events changed past it, and it advances only
+    /// when every chunk was acked (or the delta was entirely
+    /// ineligible).
+    cursor: Option<ChangeCursor>,
     /// Per-edge backoff-jitter stream, derived from the fault seed and
     /// the edge site so runs replay byte-identically.
     rng: StdRng,
@@ -221,7 +222,7 @@ impl FederationHarness {
                     src,
                     dst,
                     client: addrs[dst].map(|addr| FederationClient::new(addr, peers[src].org())),
-                    cursor: 0,
+                    cursor: None,
                     rng: StdRng::seed_from_u64(seed ^ site_hash(&site)),
                     site,
                 }
@@ -540,21 +541,14 @@ fn drive_edge(
     let src_org = src.org();
     let dst_org = dst.org();
     let store = src.api().store();
-    let target_generation = store.generation();
-    if target_generation == edge.cursor {
-        return;
-    }
-
-    // The delta: events changed past the cursor, or a full walk when
-    // the change log cannot answer (foreign generation).
-    let ids: Vec<u64> = store
-        .changed_event_ids_since(edge.cursor)
-        .unwrap_or_else(|| store.snapshot().iter().map(|v| v.event.id).collect());
+    // The delta: events changed past the cursor, or every event on the
+    // edge's first round.
+    let changes = store.changes(edge.cursor);
 
     let mut batch: Vec<MispEvent> = Vec::new();
     {
         let policy = policy.read();
-        for id in ids {
+        for id in changes.ids {
             let Some(event) = store.get_arc(id) else {
                 continue;
             };
@@ -586,7 +580,7 @@ fn drive_edge(
         // The whole delta was ineligible for this destination; the
         // cursor must still advance or the edge re-examines it forever
         // and quiescence is never reached.
-        edge.cursor = target_generation;
+        edge.cursor = Some(changes.cursor);
         return;
     }
 
@@ -660,11 +654,11 @@ fn drive_edge(
     }
 
     if all_acked {
-        // Everything up to the pre-gather generation is on the other
-        // side; changes landing after the snapshot re-surface next
-        // round. A failed chunk keeps the cursor, and the idempotent
-        // merge absorbs the overlap on the resend.
-        edge.cursor = target_generation;
+        // Everything up to the batch cursor is on the other side;
+        // changes landing after it re-surface next round. A failed
+        // chunk keeps the cursor, and the idempotent merge absorbs the
+        // overlap on the resend.
+        edge.cursor = Some(changes.cursor);
     }
 }
 

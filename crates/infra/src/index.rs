@@ -10,7 +10,7 @@
 //! * every installed application/OS name is normalized (trimmed,
 //!   lowercased) and tokenized on whitespace,
 //! * tokens are interned to dense ids, and each *distinct token set*
-//!   becomes one [`NameEntry`] carrying a [`NodeBitset`] of the nodes
+//!   becomes one [`NameEntry`] carrying a [`SlotBitset`] of the nodes
 //!   that installed a name with exactly those tokens,
 //! * an inverted index `token id → name-entry ids` turns a candidate
 //!   lookup into a few hash probes plus bitset unions.
@@ -32,63 +32,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use cais_common::SlotBitset;
+
 use crate::inventory::{ApplicationMatch, Inventory, NodeId};
-
-/// A fixed-width bitset over the inventory's node slots.
-///
-/// Slot `i` is the `i`-th node in id order, so ascending bit iteration
-/// yields node ids in ascending order — the same order the linear
-/// matcher produces.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeBitset {
-    bits: Vec<u64>,
-}
-
-impl NodeBitset {
-    /// An empty bitset sized for `slots` nodes.
-    pub fn with_slots(slots: usize) -> Self {
-        NodeBitset {
-            bits: vec![0; slots.div_ceil(64)],
-        }
-    }
-
-    /// Sets one slot.
-    pub fn set(&mut self, slot: usize) {
-        self.bits[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Unions another bitset into this one.
-    pub fn union_with(&mut self, other: &NodeBitset) {
-        for (dst, src) in self.bits.iter_mut().zip(&other.bits) {
-            *dst |= src;
-        }
-    }
-
-    /// Whether no slot is set.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|b| *b == 0)
-    }
-
-    /// Number of set slots.
-    pub fn count(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Ascending iterator over set slots.
-    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(block, &bits)| {
-            let mut bits = bits;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(block * 64 + bit)
-            })
-        })
-    }
-}
 
 /// One distinct installed token set and the nodes carrying it.
 #[derive(Debug, Clone)]
@@ -96,7 +42,7 @@ struct NameEntry {
     /// Number of distinct tokens in the installed name (`|V|`, ≥ 1).
     token_count: u32,
     /// Nodes that installed a name with exactly this token set.
-    nodes: NodeBitset,
+    nodes: SlotBitset,
 }
 
 /// The precomputed match index over one inventory snapshot.
@@ -116,11 +62,11 @@ pub struct MatchIndex {
     entries: Vec<NameEntry>,
     /// Nodes installing a name that normalizes to the empty string;
     /// these match exactly the empty-word candidates.
-    empty_name_nodes: NodeBitset,
+    empty_name_nodes: SlotBitset,
     /// Normalized common keywords (exact full-string match → all nodes).
     common_keywords: HashSet<String>,
     /// Every slot set; the common-keyword result.
-    all_nodes: NodeBitset,
+    all_nodes: SlotBitset,
     /// Distinct normalized application names, sorted (OS excluded),
     /// for description scanning and [`Inventory::all_applications`].
     app_names: Vec<String>,
@@ -130,9 +76,8 @@ impl MatchIndex {
     /// Builds the index from an inventory snapshot.
     pub fn build(inventory: &Inventory) -> Self {
         let slots: Vec<NodeId> = inventory.nodes().map(|n| n.id).collect();
-        let slot_count = slots.len();
-        let mut all_nodes = NodeBitset::with_slots(slot_count);
-        let mut empty_name_nodes = NodeBitset::with_slots(slot_count);
+        let mut all_nodes = SlotBitset::new();
+        let mut empty_name_nodes = SlotBitset::new();
         let mut tokens: HashMap<String, u32> = HashMap::new();
         let mut postings: Vec<Vec<u32>> = Vec::new();
         let mut entries: Vec<NameEntry> = Vec::new();
@@ -140,6 +85,9 @@ impl MatchIndex {
         let mut app_names: Vec<String> = Vec::new();
 
         for (slot, node) in inventory.nodes().enumerate() {
+            // Slot `i` is the `i`-th node in id order, so ascending bit
+            // iteration yields node ids in the linear matcher's order.
+            let slot = u32::try_from(slot).expect("node count fits u32");
             all_nodes.set(slot);
             let installed = node
                 .applications
@@ -179,7 +127,7 @@ impl MatchIndex {
                         entries.push(NameEntry {
                             token_count: u32::try_from(signature.len())
                                 .expect("token set fits u32"),
-                            nodes: NodeBitset::with_slots(slot_count),
+                            nodes: SlotBitset::new(),
                         });
                         id
                     });
@@ -230,14 +178,14 @@ impl MatchIndex {
         if self.common_keywords.contains(&needle) {
             return ApplicationMatch::from_parts(self.slots.clone(), true);
         }
-        let mut acc = NodeBitset::with_slots(self.slots.len());
+        let mut acc = SlotBitset::new();
         self.match_words_into(&needle, &mut acc);
         ApplicationMatch::from_parts(self.node_ids(&acc), false)
     }
 
     /// Matches several candidates at once, unioning the results.
     pub fn match_any<S: AsRef<str>>(&self, candidates: &[S]) -> ApplicationMatch {
-        let mut acc = NodeBitset::with_slots(self.slots.len());
+        let mut acc = SlotBitset::new();
         let mut common = false;
         for candidate in candidates {
             let needle = candidate.as_ref().trim().to_ascii_lowercase();
@@ -253,7 +201,7 @@ impl MatchIndex {
 
     /// Unions every node whose installed token set `V` satisfies
     /// `V ⊆ W ∨ W ⊆ V` against the candidate's distinct word set `W`.
-    fn match_words_into(&self, needle: &str, acc: &mut NodeBitset) {
+    fn match_words_into(&self, needle: &str, acc: &mut SlotBitset) {
         let mut words: Vec<&str> = needle.split_whitespace().collect();
         words.sort_unstable();
         words.dedup();
@@ -281,29 +229,14 @@ impl MatchIndex {
     }
 
     /// Materializes a bitset as ascending node ids.
-    fn node_ids(&self, acc: &NodeBitset) -> Vec<NodeId> {
-        acc.ones().map(|slot| self.slots[slot]).collect()
+    fn node_ids(&self, acc: &SlotBitset) -> Vec<NodeId> {
+        acc.ones().map(|slot| self.slots[slot as usize]).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitset_roundtrip() {
-        let mut b = NodeBitset::with_slots(130);
-        assert!(b.is_empty());
-        for slot in [0, 63, 64, 129] {
-            b.set(slot);
-        }
-        assert_eq!(b.ones().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
-        assert_eq!(b.count(), 4);
-        let mut other = NodeBitset::with_slots(130);
-        other.set(5);
-        b.union_with(&other);
-        assert_eq!(b.count(), 5);
-    }
 
     #[test]
     fn index_matches_paper_table3() {

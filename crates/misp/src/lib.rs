@@ -55,7 +55,8 @@ pub use error::MispError;
 pub use event::{Analysis, Distribution, MispEvent, ThreatLevel};
 pub use share::{ShareCacheStats, ShareExporter};
 pub use store::{
-    MergeOutcome, MispStore, SearchBackend, SearchQuery, StoreSnapshot, VersionedEvent,
+    ChangeBatch, ChangeCursor, MergeOutcome, MispStore, SearchBackend, SearchQuery, StoreSnapshot,
+    VersionedEvent,
 };
 pub use sync::{ApplyOutcome, ResilientSyncReport, SyncReport};
 pub use tag::Tag;

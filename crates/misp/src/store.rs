@@ -6,6 +6,13 @@
 //! increasing *version* (bumped on each [`MispStore::update`]) and the
 //! store carries a *generation* (bumped on every mutation); together
 //! they key the incremental export cache in [`crate::share`].
+//!
+//! Every insert and update also appends the event id to the store's
+//! change log, and the generation *is* that log's length. Derived
+//! views (decay scores, the search index, federation edges) follow the
+//! log through [`MispStore::changes`]: one call hands back the ids to
+//! re-derive since the view's [`ChangeCursor`], or every id plus
+//! `reset` when the view has no cursor for this store.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,6 +187,51 @@ impl<'a> IntoIterator for &'a StoreSnapshot {
     }
 }
 
+/// A view's place in one store's change log: the store's
+/// process-unique identity plus a log position. Opaque — only
+/// [`MispStore::changes`] makes and reads cursors, so a cursor carried
+/// over to another store is recognised as foreign, whatever that
+/// store's generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChangeCursor {
+    store: u64,
+    position: usize,
+}
+
+/// What [`MispStore::changes`] reports since a cursor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChangeBatch {
+    /// The cursor was `None` or from another store: `ids` holds every
+    /// event id, and the view drops whatever it derived before.
+    pub reset: bool,
+    /// Event ids inserted or updated past the cursor, ascending and
+    /// distinct.
+    pub ids: Vec<u64>,
+    /// Where the next call resumes. Read under the log lock before the
+    /// view reads any event, so an event mutated while the view works
+    /// through `ids` comes back in the next batch; re-deriving it is
+    /// idempotent.
+    pub cursor: ChangeCursor,
+}
+
+/// The append-only mutation log: one event id per insert/update, in
+/// generation order, tagged with the owning store's identity.
+#[derive(Debug)]
+struct ChangeLog {
+    store: u64,
+    ids: RwLock<Vec<u64>>,
+}
+
+impl Default for ChangeLog {
+    fn default() -> Self {
+        static NEXT_STORE: AtomicU64 = AtomicU64::new(1);
+        ChangeLog {
+            store: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
+            ids: RwLock::default(),
+        }
+    }
+}
+
 /// An event plus its mutation version, as kept inside the store map.
 #[derive(Debug)]
 struct Stored {
@@ -198,15 +250,10 @@ pub struct MispStore {
     by_value: RwLock<HashMap<String, Vec<u64>>>,
     sightings: RwLock<HashMap<String, Vec<EventSighting>>>,
     next_id: AtomicU64,
-    /// Bumped (inside the events write lock) on every insert/update, so
-    /// a snapshot's generation pins exactly one store content.
-    generation: AtomicU64,
-    /// Append-only mutation log: `(generation, event_id)` per
-    /// insert/update, in generation order. This is what lets an
-    /// incremental consumer (the decay rescorer) ask "what changed
-    /// since generation G" in O(changed) instead of walking the store.
-    /// Sixteen bytes per mutation, never truncated.
-    changes: RwLock<Vec<(u64, u64)>>,
+    /// Appended inside the events write lock on every insert/update, so
+    /// its length — the generation — pins exactly one store content.
+    /// Eight bytes per mutation, never truncated.
+    changes: ChangeLog,
     /// Serializes [`MispStore::merge_by_uuid`] calls so two concurrent
     /// deliveries of the same UUID (e.g. two federation edges pushing
     /// the same event) cannot both take the insert path and duplicate
@@ -313,8 +360,7 @@ impl MispStore {
                 version: 0,
             },
         );
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        self.changes.write().push((generation, id));
+        self.changes.ids.write().push(id);
         if let Some(span) = span.as_mut() {
             span.field("event_id", id);
         }
@@ -426,18 +472,18 @@ impl MispStore {
         self.events.read().get(&id).map(|s| s.version)
     }
 
-    /// Store generation: bumps on every insert/update. Caches keyed on
-    /// a snapshot compare this to decide whether assembled output is
-    /// still current.
+    /// Store generation: the length of the change log, so it bumps on
+    /// every insert/update. Caches keyed on a snapshot compare this to
+    /// decide whether assembled output is still current.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.changes.ids.read().len() as u64
     }
 
     /// Takes a consistent, id-ordered snapshot of all events under one
     /// read lock. Event bodies are shared (`Arc`), not cloned.
     pub fn snapshot(&self) -> StoreSnapshot {
         let events = self.events.read();
-        let generation = self.generation.load(Ordering::Acquire);
+        let generation = self.generation();
         let mut out: Vec<VersionedEvent> = events
             .values()
             .map(|s| VersionedEvent {
@@ -482,26 +528,38 @@ impl MispStore {
         }
     }
 
-    /// Event ids mutated (inserted or updated) after `generation`, in
-    /// ascending id order with duplicates collapsed — the incremental-
-    /// rescore seam: a consumer that remembers the generation of its
-    /// last pass gets back exactly the events it must re-derive, in
-    /// O(changed), without walking the store. Returns `None` when the
-    /// log cannot answer — the generation is ahead of this store (it
-    /// came from a different store) or the log and generation counter
-    /// disagree mid-write — and the caller should fall back to a full
-    /// walk.
-    pub fn changed_event_ids_since(&self, generation: u64) -> Option<Vec<u64>> {
-        let changes = self.changes.read();
-        let current = self.generation();
-        if generation > current || changes.len() as u64 != current {
-            return None;
+    /// The change feed every derived view follows: the event ids to
+    /// re-derive since `cursor`, ascending and distinct, in O(changed).
+    /// A `None` cursor, or one from another store, gets
+    /// [`ChangeBatch::reset`] and every event id instead. A view keeps
+    /// the returned [`ChangeBatch::cursor`] for its next call.
+    pub fn changes(&self, cursor: Option<ChangeCursor>) -> ChangeBatch {
+        let resume = cursor.filter(|c| c.store == self.changes.store);
+        let (ids, position) = match resume {
+            Some(cursor) => {
+                let log = self.changes.ids.read();
+                let mut ids = log.get(cursor.position..).unwrap_or_default().to_vec();
+                ids.sort_unstable();
+                ids.dedup();
+                (ids, log.len())
+            }
+            None => {
+                // Writers lock events, then the log: same order here.
+                let events = self.events.read();
+                let position = self.changes.ids.read().len();
+                let mut ids: Vec<u64> = events.keys().copied().collect();
+                ids.sort_unstable();
+                (ids, position)
+            }
+        };
+        ChangeBatch {
+            reset: resume.is_none(),
+            ids,
+            cursor: ChangeCursor {
+                store: self.changes.store,
+                position,
+            },
         }
-        let start = changes.partition_point(|&(g, _)| g <= generation);
-        let mut ids: Vec<u64> = changes[start..].iter().map(|&(_, id)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Some(ids)
     }
 
     /// The id the next inserted event will receive. With inserts
@@ -562,8 +620,7 @@ impl MispStore {
         f(event);
         event.timestamp = Timestamp::now().max(event.timestamp);
         stored.version += 1;
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        self.changes.write().push((generation, id));
+        self.changes.ids.write().push(id);
         if let Some(metrics) = self.metrics.read().as_ref() {
             metrics
                 .attributes_written
@@ -916,28 +973,6 @@ mod tests {
         let mut walked = Vec::new();
         store.for_each_versioned(|event, version| walked.push((event.id, version)));
         assert_eq!(walked, vec![(a, 0), (b, 1)]);
-    }
-
-    #[test]
-    fn changelog_reports_exactly_what_moved() {
-        let store = MispStore::new();
-        assert_eq!(store.changed_event_ids_since(0), Some(vec![]));
-
-        let a = store.insert(event_with("a.example")).unwrap();
-        let b = store.insert(event_with("b.example")).unwrap();
-        let checkpoint = store.generation();
-        assert_eq!(store.changed_event_ids_since(0), Some(vec![a, b]));
-        assert_eq!(store.changed_event_ids_since(checkpoint), Some(vec![]));
-
-        // Two updates of the same event collapse to one id.
-        store.publish(b).unwrap();
-        store.update(b, |e| e.info.push('!')).unwrap();
-        let c = store.insert(event_with("c.example")).unwrap();
-        assert_eq!(store.changed_event_ids_since(checkpoint), Some(vec![b, c]));
-
-        // A generation the store never reached (another store's, or
-        // the future) cannot be answered.
-        assert_eq!(store.changed_event_ids_since(store.generation() + 1), None);
     }
 
     #[test]

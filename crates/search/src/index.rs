@@ -1,5 +1,5 @@
 //! The incremental inverted index: interned tokens → sorted postings
-//! of dense slot ids, maintained off the store changelog.
+//! of dense slot ids, maintained off the store's change feed.
 //!
 //! Structure, generalized from `cais_infra::index::PatternIndex`'s
 //! interned-token postings + bitset matcher:
@@ -23,28 +23,25 @@
 //!   that moved a date or score), so a range predicate is one binary
 //!   search plus O(matches) bit sets, never a full column walk.
 //!
-//! Incrementality rides the store changelog exactly like the decay
-//! engine's rescorer: [`SearchIndex::sync`] remembers the store
-//! generation of its last pass and asks
-//! [`MispStore::changed_event_ids_since`] for just the events mutated
-//! since — each is re-tokenized in place (old postings edits are
-//! `O(tokens)` bit flips for dense tokens, `O(log posting)` inserts
-//! for sparse ones), so churn costs O(changed events). Only when the
-//! changelog cannot answer (first sync, or a generation from a
-//! different store) does it fall back to a full rebuild from a
-//! snapshot.
+//! Incrementality rides the store's change feed exactly like the decay
+//! engine's rescorer: [`SearchIndex::sync`] keeps the cursor of its
+//! last pass and asks [`MispStore::changes`] for just the events
+//! mutated since — each is re-tokenized in place (old postings edits
+//! are `O(tokens)` bit flips for dense tokens, `O(log posting)` inserts
+//! for sparse ones), so churn costs O(changed events). A reset (first
+//! sync, or a cursor from another store) clears the index and the same
+//! loop rebuilds it from every event.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cais_common::Timestamp;
-use cais_misp::store::{MispStore, SearchBackend, SearchQuery, VersionedEvent};
+use cais_common::{SlotBitset, Timestamp};
+use cais_misp::store::{ChangeCursor, MispStore, SearchBackend, SearchQuery, VersionedEvent};
 use cais_misp::MispEvent;
 use cais_telemetry::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::bitset::SlotBitset;
 use crate::query::{decayed_score, normalize, sub_tokens, Cmp, Field, ParseError, Query};
 
 /// Token-key prefixes, one byte each, joined to the token text with a
@@ -160,9 +157,9 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct IndexState {
-    /// Store generation of the last completed sync; `None` before the
-    /// first. The changelog cursor, exactly like the decay rescorer's.
-    synced_generation: Option<u64>,
+    /// Where the last sync left the store's change feed; `None`
+    /// before the first.
+    cursor: Option<ChangeCursor>,
     slots: Vec<Slot>,
     by_id: HashMap<u64, u32>,
     /// Token text → interned id; postings are indexed by that id.
@@ -191,15 +188,15 @@ struct IndexState {
 /// What one [`SearchIndex::sync`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncSummary {
-    /// The changelog could not answer and the index was rebuilt from a
-    /// full snapshot.
+    /// The change feed reset and the index was rebuilt from every
+    /// event.
     pub rebuilt: bool,
     /// Events newly appended to the index.
     pub appended: usize,
     /// Existing events re-tokenized because their version changed.
     pub reindexed: usize,
-    /// Changelog entries skipped because the indexed version was
-    /// already current.
+    /// Change-feed ids skipped because the indexed version was already
+    /// current.
     pub skipped: usize,
 }
 
@@ -285,46 +282,26 @@ impl SearchIndex {
         *self.metrics.write() = Some(SearchMetrics::new(registry));
     }
 
-    /// Brings the index up to date with the store. Incremental
-    /// whenever the store changelog can answer "what changed since my
-    /// last pass" — O(changed events) — and a full snapshot rebuild
-    /// otherwise (first sync, or a cursor from a different store).
+    /// Brings the index up to date with the store's change feed:
+    /// O(changed events) per pass, and a rebuild from every event on a
+    /// reset (first sync, or a sync against another store than the
+    /// last).
     pub fn sync(&self, store: &MispStore) -> SyncSummary {
         let mut state = self.state.lock();
-        let generation = store.generation();
-        let changed = match state.synced_generation {
-            Some(last) if last == generation => Some(Vec::new()),
-            Some(last) => store.changed_event_ids_since(last),
-            None => None,
+        let batch = store.changes(state.cursor);
+        if batch.reset {
+            *state = IndexState::default();
+        }
+        let mut summary = SyncSummary {
+            rebuilt: batch.reset,
+            ..SyncSummary::default()
         };
-        let summary = match changed {
-            Some(ids) => {
-                let mut summary = SyncSummary::default();
-                for id in ids {
-                    // Sweep-style mutations never remove events, so a
-                    // missing id means a racing writer we'll see next
-                    // sync.
-                    if let Some(versioned) = store.versioned(id) {
-                        Self::upsert(&mut state, versioned, &mut summary);
-                    }
-                }
-                state.synced_generation = Some(generation);
-                summary
+        for id in batch.ids {
+            if let Some(versioned) = store.versioned(id) {
+                Self::upsert(&mut state, versioned, &mut summary);
             }
-            None => {
-                let snapshot = store.snapshot();
-                *state = IndexState::default();
-                let mut summary = SyncSummary {
-                    rebuilt: true,
-                    ..SyncSummary::default()
-                };
-                for versioned in snapshot.iter() {
-                    Self::upsert(&mut state, versioned.clone(), &mut summary);
-                }
-                state.synced_generation = Some(snapshot.generation());
-                summary
-            }
-        };
+        }
+        state.cursor = Some(batch.cursor);
         Self::refresh_ranges(&mut state);
         if let Some(metrics) = self.metrics.read().as_ref() {
             metrics.syncs.inc();
@@ -337,11 +314,11 @@ impl SearchIndex {
         summary
     }
 
-    /// Drops everything and re-syncs from a full snapshot — the
-    /// baseline the `search_json` bench compares incremental
-    /// maintenance against.
+    /// Drops everything and re-syncs from every event — the baseline
+    /// the `search_json` bench compares incremental maintenance
+    /// against.
     pub fn rebuild(&self, store: &MispStore) -> SyncSummary {
-        self.state.lock().synced_generation = None;
+        self.state.lock().cursor = None;
         self.sync(store)
     }
 
@@ -674,13 +651,13 @@ impl std::fmt::Debug for SearchIndex {
         f.debug_struct("SearchIndex")
             .field("events", &state.slots.len())
             .field("tokens", &state.tokens.len())
-            .field("synced_generation", &state.synced_generation)
+            .field("cursor", &state.cursor)
             .finish()
     }
 }
 
 impl SearchBackend for SearchIndex {
-    /// The [`MispApi::search`] seam: sync off the changelog, compile
+    /// The [`MispApi::search`] seam: sync off the change feed, compile
     /// the flat filter, answer from postings. Equivalent to
     /// `store.search_linear(query)` by the [`SearchBackend`] contract.
     ///

@@ -10,7 +10,7 @@
 //!
 //! - [`SearchIndex`]: interned-token postings + bitset evaluation
 //!   (generalized from `cais_infra`'s pattern index), kept fresh off
-//!   the store changelog so churn costs O(changed events), never a
+//!   the store's change feed so churn costs O(changed events), never a
 //!   full rebuild.
 //! - [`Query`]: a small typed language — `field:value` terms over
 //!   types, categories, tags, orgs and value tokens; `AND`/`OR`/`NOT`;
@@ -54,12 +54,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod index;
 pub mod query;
 pub mod stix;
 
-pub use bitset::SlotBitset;
 pub use index::{SearchIndex, SyncSummary};
 pub use query::{
     decayed_score, matches_event, Cmp, Field, ParseError, Query, DECAY_SCORE_TAG, MAX_QUERY_DEPTH,

@@ -1,7 +1,7 @@
 //! Property test: the inverted index is observationally equivalent to
 //! a linear scan. For arbitrary stores and interleaved
-//! insert/update/publish/tag mutations, after every round's changelog
-//! sync:
+//! insert/update/publish/tag mutations and moves to another store,
+//! after every round's change-feed sync:
 //!
 //! * `SearchIndex::search` returns exactly the `(id, version)` pairs a
 //!   full [`matches_event`] scan does, in id order, for a query pool
@@ -9,8 +9,8 @@
 //! * the [`SearchBackend`] seam answers legacy [`SearchQuery`] filters
 //!   exactly like the store's retained `search_linear` path,
 //!
-//! so appends, version-gated reindexing and generation tracking are
-//! all exercised against both oracles.
+//! so appends, version-gated reindexing and cursor tracking are all
+//! exercised against both oracles.
 
 use cais_common::Timestamp;
 use cais_misp::{
@@ -190,11 +190,11 @@ proptest! {
     fn indexed_search_matches_linear_scan_under_churn(
         seeds in prop::collection::vec(event_spec(), 1..5),
         rounds in prop::collection::vec(
-            (0usize..6, event_spec(), any::<bool>()),
+            (0usize..6, event_spec(), any::<bool>(), 0u8..4),
             0..5,
         ),
     ) {
-        let store = MispStore::new();
+        let mut store = MispStore::new();
         let index = SearchIndex::new();
         let mut ids = Vec::new();
         for (i, spec) in seeds.iter().enumerate() {
@@ -202,7 +202,7 @@ proptest! {
         }
         check(&index, &store, 0);
 
-        for (round, (pick, spec, grow)) in rounds.into_iter().enumerate() {
+        for (round, (pick, spec, grow, moves)) in rounds.into_iter().enumerate() {
             let id = ids[pick % ids.len()];
             let replacement = event(format!("advisory {id} (round {round})"), &spec);
             store
@@ -218,6 +218,20 @@ proptest! {
             if grow {
                 let late = event(format!("late {round}"), &spec);
                 ids.push(store.insert(late).expect("insert"));
+            }
+            if moves == 0 {
+                // The index moves to another store whose generation is
+                // at least the current one's, so only the store's
+                // identity tells the two change logs apart.
+                let other = MispStore::new();
+                let n = ids.len() + 1;
+                ids = (0..n)
+                    .map(|i| other.insert(event(format!("moved {i}"), &spec)).expect("insert"))
+                    .collect();
+                while other.generation() < store.generation() {
+                    other.publish(ids[0]).expect("publish");
+                }
+                store = other;
             }
             check(&index, &store, round + 1);
         }
