@@ -1,17 +1,16 @@
-//! Sharded parallel ingestion vs the sequential path, on a 100k-record
-//! synthetic OSINT workload.
+//! One ingestion round at 1 worker vs 4, on a 100k-record synthetic
+//! OSINT workload.
 //!
-//! The parallel path partitions dedup across shards, fans filter /
-//! enrich / payload-serialization work over scoped worker threads, and
-//! flushes bus announcements as per-topic batches; both paths produce
-//! identical reports and eIoC/rIoC sets (asserted once up front here,
-//! and continuously by `tests/scale.rs` and the pipeline test suite).
-//! The throughput gap therefore measures the sharding alone. Speedup
-//! scales with available cores: on a single-CPU host the two paths are
-//! expected to tie (the parallel path pays thread management for no
-//! extra compute), while ≥4 cores put the parallel path at a multiple
-//! of the sequential one, because everything but store insertion and
-//! batch flushing runs in the workers.
+//! With more than one worker the round partitions dedup across shards
+//! and fans filter / enrich / event-building / reduce work over scoped
+//! worker threads; every worker count produces identical reports and
+//! eIoC/rIoC sets (asserted once up front here, and continuously by
+//! `tests/scale.rs` and the pipeline test suite). The throughput gap
+//! therefore measures the sharding alone. Speedup scales with available
+//! cores: on a single-CPU host the two are expected to tie (threads
+//! cost management for no extra compute), while ≥4 cores put 4 workers
+//! at a multiple of 1, because everything but store insertion and the
+//! per-topic publishes runs in the workers.
 
 use cais_bench::workloads;
 use cais_core::Platform;

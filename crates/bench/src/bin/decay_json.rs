@@ -4,12 +4,14 @@
 //! base, with 1% churn and a seeded sighting stream between passes.
 //! Exact score equivalence of the two paths is asserted — a mismatch
 //! aborts the run, which fails CI — as is the ≥5× incremental speedup
-//! bar. Writes `BENCH_decay.json` for trend tracking.
+//! bar. Writes `BENCH_decay.json` for trend tracking at the default
+//! scale only; any other scale prints the document to stdout, so a
+//! smoke run never replaces the full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin decay_json             # writes BENCH_decay.json
 //! cargo run --release -p cais-bench --bin decay_json -- -        # print to stdout instead
-//! cargo run --release -p cais-bench --bin decay_json -- 10000 3  # events passes (smoke sizing)
+//! cargo run --release -p cais-bench --bin decay_json -- 10000 3  # events passes (smoke sizing, stdout)
 //! ```
 
 use std::sync::Arc;
@@ -28,12 +30,17 @@ use rand::{Rng, SeedableRng};
 const CHURN_FRACTION: f64 = 0.01;
 const SIGHTING_FRACTION: f64 = 0.005;
 
+/// The snapshot scale: events in the store, rescore passes.
+const DEFAULT_EVENTS: usize = 1_000_000;
+const DEFAULT_PASSES: usize = 3;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let events = numeric.first().copied().unwrap_or(1_000_000);
-    let passes = numeric.get(1).copied().unwrap_or(3).max(2);
+    let events = numeric.first().copied().unwrap_or(DEFAULT_EVENTS);
+    let passes = numeric.get(1).copied().unwrap_or(DEFAULT_PASSES).max(2);
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (events, passes) != (DEFAULT_EVENTS, DEFAULT_PASSES);
 
     // A virtual "now" 50 days into the epoch; event dates trail it by
     // 0–25 days, so the population spans the whole decay curve.

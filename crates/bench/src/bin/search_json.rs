@@ -8,12 +8,14 @@
 //! mismatch aborts the run, which fails CI — and the run is held to
 //! two bars: sub-millisecond p99 single-query latency, and ≥5×
 //! incremental-sync speedup over a from-scratch rebuild after ~1%
-//! churn. Writes `BENCH_search.json` for trend tracking.
+//! churn. Writes `BENCH_search.json` for trend tracking at the
+//! default scale only; any other scale prints the document to stdout,
+//! so a smoke run never replaces the full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin search_json              # writes BENCH_search.json
 //! cargo run --release -p cais-bench --bin search_json -- -         # print to stdout instead
-//! cargo run --release -p cais-bench --bin search_json -- 2000 400  # events queries (smoke sizing)
+//! cargo run --release -p cais-bench --bin search_json -- 2000 400  # events queries (smoke sizing, stdout)
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,6 +41,10 @@ const SYNC_EVERY: usize = 64;
 /// Fraction of the store churned before the incremental-vs-rebuild
 /// comparison.
 const CHURN_FRACTION: f64 = 0.01;
+
+/// The snapshot scale: events in the store, timed queries.
+const DEFAULT_EVENTS: usize = 200_000;
+const DEFAULT_QUERIES: usize = 4_000;
 
 /// The timed query pool: analyst-lookup shapes spanning every indexed
 /// axis (type, tag, org, value token, published flag, score and date
@@ -95,14 +101,15 @@ fn assert_equivalent(index: &SearchIndex, store: &MispStore, pool: &[Query], lab
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let events = numeric.first().copied().unwrap_or(200_000);
+    let events = numeric.first().copied().unwrap_or(DEFAULT_EVENTS);
     let queries = numeric
         .get(1)
         .copied()
-        .unwrap_or(4_000)
+        .unwrap_or(DEFAULT_QUERIES)
         .max(TIMED_QUERIES.len());
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (events, queries) != (DEFAULT_EVENTS, DEFAULT_QUERIES);
 
     let now = Timestamp::from_unix_millis(50 * MILLIS_PER_DAY);
     let store = Arc::new(MispStore::new());

@@ -21,10 +21,9 @@ struct Subscriber {
 
 /// Cached telemetry handles for an instrumented broker.
 ///
-/// Counters count *messages*, not publish calls, so the serial path
-/// (one `publish` per message) and the parallel path (one
-/// `publish_batch` per round) produce identical totals for the same
-/// traffic.
+/// Counters count *messages*, not publish calls, so one `publish` per
+/// message and one `publish_batch` per round produce identical totals
+/// for the same traffic — observed or not.
 struct BrokerMetrics {
     registry: Registry,
     published_total: Counter,
@@ -74,8 +73,6 @@ impl BrokerMetrics {
 
 struct Inner {
     subscribers: RwLock<Vec<Subscriber>>,
-    replay: RwLock<std::collections::VecDeque<Message>>,
-    replay_cap: usize,
     next_seq: AtomicU64,
     next_subscriber_id: AtomicU64,
     metrics: RwLock<Option<Arc<BrokerMetrics>>>,
@@ -104,20 +101,11 @@ pub struct Broker {
 }
 
 impl Broker {
-    /// Creates a new broker with no subscribers and a replay buffer of
-    /// 1024 messages.
+    /// Creates a new broker with no subscribers.
     pub fn new() -> Self {
-        Broker::with_replay_capacity(1_024)
-    }
-
-    /// Creates a broker retaining the last `replay_cap` messages for
-    /// [`Broker::subscribe_with_replay`] (0 disables replay).
-    pub fn with_replay_capacity(replay_cap: usize) -> Self {
         Broker {
             inner: Arc::new(Inner {
                 subscribers: RwLock::new(Vec::new()),
-                replay: RwLock::new(std::collections::VecDeque::new()),
-                replay_cap,
                 next_seq: AtomicU64::new(0),
                 next_subscriber_id: AtomicU64::new(0),
                 metrics: RwLock::new(None),
@@ -179,25 +167,6 @@ impl Broker {
         }
     }
 
-    /// Subscribes to every topic matching the pattern, pre-loading the
-    /// queue with the retained history that matches — how a dashboard
-    /// that reconnects catches up on rIoCs it missed.
-    pub fn subscribe_with_replay(&self, pattern: impl Into<TopicPattern>) -> Subscription {
-        let subscription = self.subscribe(pattern);
-        {
-            let replay = self.inner.replay.read();
-            let subscribers = self.inner.subscribers.read();
-            if let Some(me) = subscribers.iter().find(|s| s.id == subscription.id) {
-                for message in replay.iter() {
-                    if me.pattern.matches(&message.topic) {
-                        let _ = me.sender.send(message.clone());
-                    }
-                }
-            }
-        }
-        subscription
-    }
-
     /// Subscribes to every topic matching the pattern.
     pub fn subscribe(&self, pattern: impl Into<TopicPattern>) -> Subscription {
         let (sender, receiver) = channel::unbounded();
@@ -235,72 +204,14 @@ impl Broker {
         payload: serde_json::Value,
         parent: Option<TraceContext>,
     ) -> usize {
-        let tracer = self.tracer();
-        let mut publish_span = tracer
-            .as_ref()
-            .map(|t| t.child_of(parent, "bus", "bus_publish"));
-        let trace = publish_span
-            .as_ref()
-            .filter(|s| s.sampled())
-            .map(|s| s.context());
-        let topic_name = topic.clone();
-        let message = Message {
-            seq: self.inner.next_seq.fetch_add(1, Ordering::Relaxed),
-            topic,
-            published_at: Timestamp::now(),
-            payload,
-            trace,
-        };
-        let mut delivered = 0;
-        let mut dead: Vec<u64> = Vec::new();
-        {
-            let _deliver_span = match (&tracer, trace) {
-                (Some(t), Some(ctx)) => Some(t.child(ctx, "bus", "bus_deliver")),
-                _ => None,
-            };
-            let subscribers = self.inner.subscribers.read();
-            for sub in subscribers.iter() {
-                if sub.pattern.matches(&message.topic) {
-                    if sub.sender.send(message.clone()).is_ok() {
-                        delivered += 1;
-                    } else {
-                        dead.push(sub.id);
-                    }
-                }
-            }
-        }
-        // Fan-out first, then retain: the retained copy is the original,
-        // so a publish never deep-clones the payload for the buffer.
-        if self.inner.replay_cap > 0 {
-            let mut replay = self.inner.replay.write();
-            if replay.len() == self.inner.replay_cap {
-                replay.pop_front();
-            }
-            replay.push_back(message);
-        }
-        if !dead.is_empty() {
-            self.inner
-                .subscribers
-                .write()
-                .retain(|s| !dead.contains(&s.id));
-        }
-        if let Some(metrics) = self.metrics() {
-            metrics.on_publish(topic_name.as_str(), 1, delivered as u64, dead.len() as u64);
-        }
-        if let Some(span) = publish_span.as_mut() {
-            span.field("topic", topic_name.as_str());
-            span.field("delivered", delivered);
-        }
-        delivered
+        let mut payload = Some(payload);
+        self.publish_with(topic, 1, |_| payload.take(), parent)
     }
 
-    /// Publishes a batch of JSON payloads under one topic, taking the
-    /// subscriber lock once for the whole batch instead of once per
-    /// message — the fast path for the parallel ingestion pipeline,
-    /// which accumulates a round's messages and flushes them together.
-    ///
-    /// Messages keep their relative order and receive consecutive
-    /// sequence numbers. Returns the total number of deliveries.
+    /// Publishes a batch of JSON payloads under one topic — see
+    /// [`Broker::publish_with`]. Messages keep their relative order and
+    /// receive consecutive sequence numbers. Returns the total number
+    /// of deliveries.
     pub fn publish_batch(
         &self,
         topic: Topic,
@@ -309,16 +220,41 @@ impl Broker {
         self.publish_batch_traced(topic, payloads, None)
     }
 
-    /// [`Broker::publish_batch`] continuing the caller's trace. One
-    /// `bus_publish` span covers the whole batch (spans are ring
-    /// events, not counters, so batching does not distort the
-    /// message-level counter contract).
+    /// [`Broker::publish_batch`] continuing the caller's trace.
     pub fn publish_batch_traced(
         &self,
         topic: Topic,
         payloads: impl IntoIterator<Item = serde_json::Value>,
         parent: Option<TraceContext>,
     ) -> usize {
+        let mut payloads: Vec<Option<serde_json::Value>> = payloads.into_iter().map(Some).collect();
+        self.publish_with(topic, payloads.len(), |i| payloads[i].take(), parent)
+    }
+
+    /// The one publish body: `count` messages under one topic, where
+    /// `payload(i)` builds the i-th payload. The closure runs only when
+    /// a live subscription matches the topic, once per message, in
+    /// order; a message nobody observes is never built. Either way
+    /// every message takes a sequence number (consecutive within the
+    /// call) and counts in `bus_published_total` and its per-topic
+    /// series. A `None` payload (encoding failed) is delivered to no
+    /// one.
+    ///
+    /// The subscriber lock is taken once per call, and released before
+    /// any payload is built. One `bus_publish` span covers the call
+    /// (spans are ring events, not counters, so batching does not
+    /// distort the message-level counter contract). Returns the total
+    /// number of deliveries.
+    pub fn publish_with(
+        &self,
+        topic: Topic,
+        count: usize,
+        mut payload: impl FnMut(usize) -> Option<serde_json::Value>,
+        parent: Option<TraceContext>,
+    ) -> usize {
+        if count == 0 {
+            return 0;
+        }
         let tracer = self.tracer();
         let mut publish_span = tracer
             .as_ref()
@@ -327,20 +263,18 @@ impl Broker {
             .as_ref()
             .filter(|s| s.sampled())
             .map(|s| s.context());
-        let published_at = Timestamp::now();
-        let messages: Vec<Message> = payloads
-            .into_iter()
-            .map(|payload| Message {
-                seq: self.inner.next_seq.fetch_add(1, Ordering::Relaxed),
-                topic: topic.clone(),
-                published_at,
-                payload,
-                trace,
-            })
+        let first_seq = self
+            .inner
+            .next_seq
+            .fetch_add(count as u64, Ordering::Relaxed);
+        let mut targets: Vec<(u64, Sender<Message>)> = self
+            .inner
+            .subscribers
+            .read()
+            .iter()
+            .filter(|sub| sub.pattern.matches(&topic))
+            .map(|sub| (sub.id, sub.sender.clone()))
             .collect();
-        if messages.is_empty() {
-            return 0;
-        }
         let mut delivered = 0;
         let mut dead: Vec<u64> = Vec::new();
         {
@@ -348,33 +282,41 @@ impl Broker {
                 (Some(t), Some(ctx)) => Some(t.child(ctx, "bus", "bus_deliver")),
                 _ => None,
             };
-            let subscribers = self.inner.subscribers.read();
-            for sub in subscribers.iter() {
-                if !sub.pattern.matches(&topic) {
-                    continue;
+            let published_at = Timestamp::now();
+            for i in 0..count {
+                if targets.is_empty() {
+                    break;
                 }
-                for message in &messages {
-                    if sub.sender.send(message.clone()).is_ok() {
-                        delivered += 1;
+                let Some(payload) = payload(i) else {
+                    continue;
+                };
+                let mut message = Some(Message {
+                    seq: first_seq + i as u64,
+                    topic: topic.clone(),
+                    published_at,
+                    payload,
+                    trace,
+                });
+                // The last target takes the message by move: a single
+                // subscriber costs no payload copy.
+                let mut k = 0;
+                while k < targets.len() {
+                    let copy = if k + 1 == targets.len() {
+                        message.take()
                     } else {
-                        dead.push(sub.id);
-                        break;
+                        message.clone()
+                    };
+                    if targets[k]
+                        .1
+                        .send(copy.expect("message kept for the last target"))
+                        .is_ok()
+                    {
+                        delivered += 1;
+                        k += 1;
+                    } else {
+                        dead.push(targets.remove(k).0);
                     }
                 }
-            }
-        }
-        // As in [`Broker::publish`], the replay buffer takes the batch by
-        // move after fan-out. Only the last `replay_cap` messages can
-        // survive, so the earlier ones skip the buffer entirely.
-        let batch_len = messages.len() as u64;
-        if self.inner.replay_cap > 0 {
-            let skip = messages.len().saturating_sub(self.inner.replay_cap);
-            let mut replay = self.inner.replay.write();
-            for message in messages.into_iter().skip(skip) {
-                if replay.len() == self.inner.replay_cap {
-                    replay.pop_front();
-                }
-                replay.push_back(message);
             }
         }
         if !dead.is_empty() {
@@ -386,14 +328,14 @@ impl Broker {
         if let Some(metrics) = self.metrics() {
             metrics.on_publish(
                 topic.as_str(),
-                batch_len,
+                count as u64,
                 delivered as u64,
                 dead.len() as u64,
             );
         }
         if let Some(span) = publish_span.as_mut() {
             span.field("topic", topic.as_str());
-            span.field("messages", batch_len);
+            span.field("messages", count);
             span.field("delivered", delivered);
         }
         delivered
@@ -598,21 +540,53 @@ mod tests {
     }
 
     #[test]
-    fn batch_publish_lands_in_replay() {
-        let broker = Broker::with_replay_capacity(3);
-        broker.publish_batch(Topic::new("t"), (0..5).map(|i| serde_json::json!(i)));
-        let late = broker.subscribe_with_replay("#");
-        let caught_up = late.drain();
-        assert_eq!(caught_up.len(), 3);
-        assert_eq!(caught_up[0].payload, serde_json::json!(2));
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
         let broker = Broker::new();
         let sub = broker.subscribe("#");
         assert_eq!(broker.publish_batch(Topic::new("t"), Vec::new()), 0);
         assert_eq!(sub.queued(), 0);
+    }
+
+    #[test]
+    fn unobserved_payloads_are_never_built_but_still_counted() {
+        let registry = Registry::new();
+        let broker = Broker::new();
+        broker.instrument(&registry);
+        let sub = broker.subscribe("seen");
+        let mut built = Vec::new();
+        let delivered = broker.publish_with(
+            Topic::new("unseen"),
+            3,
+            |i| {
+                built.push(i);
+                Some(serde_json::json!(i))
+            },
+            None,
+        );
+        assert_eq!(delivered, 0);
+        assert!(built.is_empty(), "no subscriber, no payload");
+        let delivered = broker.publish_with(
+            Topic::new("seen"),
+            2,
+            |i| {
+                built.push(i);
+                (i == 1).then(|| serde_json::json!(i))
+            },
+            None,
+        );
+        assert_eq!(delivered, 1, "a `None` payload is delivered to no one");
+        assert_eq!(built, vec![0, 1], "built once per message, in order");
+        // The unobserved messages took sequence numbers 0..3.
+        let got = sub.drain();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].seq, 4);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counters["bus_published_total"], 5);
+        assert_eq!(
+            snapshot.counters[&labeled("bus_published_total", &[("topic", "unseen")])],
+            3
+        );
+        assert_eq!(snapshot.counters["bus_delivered_total"], 1);
     }
 
     #[test]
@@ -697,44 +671,8 @@ mod tests {
 }
 
 #[cfg(test)]
-mod replay_tests {
+mod trace_tests {
     use super::*;
-
-    #[test]
-    fn late_subscriber_catches_up() {
-        let broker = Broker::new();
-        for i in 0..5 {
-            broker.publish(Topic::new(format!("a.{i}")), serde_json::json!(i));
-        }
-        broker.publish(Topic::new("b.0"), serde_json::json!("other"));
-        let late = broker.subscribe_with_replay("a.*");
-        let caught_up = late.drain();
-        assert_eq!(caught_up.len(), 5);
-        assert_eq!(caught_up[0].payload, serde_json::json!(0));
-        // Live delivery continues after the replay.
-        broker.publish(Topic::new("a.99"), serde_json::json!(99));
-        assert_eq!(late.drain().len(), 1);
-    }
-
-    #[test]
-    fn replay_buffer_is_bounded() {
-        let broker = Broker::with_replay_capacity(3);
-        for i in 0..10 {
-            broker.publish(Topic::new("t"), serde_json::json!(i));
-        }
-        let late = broker.subscribe_with_replay("#");
-        let caught_up = late.drain();
-        assert_eq!(caught_up.len(), 3);
-        assert_eq!(caught_up[0].payload, serde_json::json!(7));
-    }
-
-    #[test]
-    fn replay_disabled_with_zero_capacity() {
-        let broker = Broker::with_replay_capacity(0);
-        broker.publish(Topic::new("t"), serde_json::json!(1));
-        let late = broker.subscribe_with_replay("#");
-        assert_eq!(late.queued(), 0);
-    }
 
     #[test]
     fn plain_subscribe_gets_no_history() {

@@ -10,11 +10,10 @@
 use cais_common::Age;
 use cais_cvss::CveId;
 use cais_feeds::ThreatCategory;
-use cais_misp::{AttributeCategory, MispApi, MispAttribute, Tag};
+use cais_misp::{AttributeCategory, MispAttribute, MispEvent, Tag};
 use cais_stix::sdo::Vulnerability;
 
 use crate::context::EvaluationContext;
-use crate::error::CoreError;
 use crate::heuristics::{
     self, score::threat_score_named, FeatureValue, HeuristicKind, ThreatScore,
 };
@@ -225,9 +224,8 @@ impl Enricher {
 }
 
 /// Builds the `threat-score` attribute carrying a Threat Score on a
-/// MISP event. Pure — the parallel pipeline builds it in worker
-/// threads.
-pub fn score_attribute(heuristic: HeuristicKind, threat_score: &ThreatScore) -> MispAttribute {
+/// MISP event.
+fn score_attribute(heuristic: HeuristicKind, threat_score: &ThreatScore) -> MispAttribute {
     MispAttribute::new(
         "threat-score",
         AttributeCategory::InternalReference,
@@ -242,9 +240,8 @@ pub fn score_attribute(heuristic: HeuristicKind, threat_score: &ThreatScore) -> 
 }
 
 /// Builds the `cais:*` machine tags carrying the per-criterion detail
-/// the paper's future work calls for. Pure, like
-/// [`score_attribute`].
-pub fn score_tags(heuristic: HeuristicKind, threat_score: &ThreatScore) -> Vec<Tag> {
+/// the paper's future work calls for.
+fn score_tags(heuristic: HeuristicKind, threat_score: &ThreatScore) -> Vec<Tag> {
     let mut tags = vec![
         Tag::machine(
             "cais",
@@ -275,68 +272,16 @@ pub fn score_tags(heuristic: HeuristicKind, threat_score: &ThreatScore) -> Vec<T
     tags
 }
 
-/// Attaches a computed Threat Score to a stored MISP event: a
-/// `threat-score` attribute plus `cais:*` machine tags carrying the
-/// per-criterion detail the paper's future work calls for. Applied as
-/// one store update with one `misp.event.updated` announcement.
-///
-/// # Errors
-///
-/// Returns MISP validation errors.
-pub fn attach_score(
-    api: &MispApi,
-    event_id: u64,
-    heuristic: HeuristicKind,
-    threat_score: &ThreatScore,
-) -> Result<(), CoreError> {
-    let attribute = score_attribute(heuristic, threat_score);
-    attribute.validate()?;
-    let tags = score_tags(heuristic, threat_score);
-    api.update_event(event_id, |event| {
-        event.add_attribute(attribute);
-        for tag in tags {
-            event.add_tag(tag);
-        }
-    })?;
-    Ok(())
-}
-
-/// Persists an eIoC into the MISP instance: stores the cluster as an
-/// event (when not already stored), then attaches the threat score via
-/// [`attach_score`].
-///
-/// # Errors
-///
-/// Returns MISP validation errors.
-pub fn persist_enriched(api: &MispApi, eioc: &mut EnrichedIoc) -> Result<u64, CoreError> {
-    persist_enriched_traced(api, eioc, None)
-}
-
-/// [`persist_enriched`] continuing the caller's trace: the store's
-/// `store_insert` span becomes a child of `parent` (typically the
-/// ingestion round's span) instead of rooting a fresh trace.
-///
-/// # Errors
-///
-/// Returns MISP validation errors.
-pub fn persist_enriched_traced(
-    api: &MispApi,
-    eioc: &mut EnrichedIoc,
-    parent: Option<cais_telemetry::TraceContext>,
-) -> Result<u64, CoreError> {
-    let event_id = match eioc.misp_event_id {
-        Some(id) => id,
-        None => {
-            let event = cais_misp::import::event_from_records(
-                eioc.composed.summary(),
-                &eioc.composed.records,
-            );
-            api.add_event_with_trace(event, parent)?
-        }
-    };
-    attach_score(api, event_id, eioc.heuristic, &eioc.threat_score)?;
-    eioc.misp_event_id = Some(event_id);
-    Ok(event_id)
+/// Writes a computed Threat Score onto a MISP event before it is
+/// stored: a `threat-score` attribute plus `cais:*` machine tags
+/// carrying the per-criterion detail the paper's future work calls
+/// for. Pure, so ingestion workers build each eIoC's event in its final
+/// form and one insert stores it.
+pub fn apply_score(event: &mut MispEvent, heuristic: HeuristicKind, threat_score: &ThreatScore) {
+    event.add_attribute(score_attribute(heuristic, threat_score));
+    for tag in score_tags(heuristic, threat_score) {
+        event.add_tag(tag);
+    }
 }
 
 #[cfg(test)]
@@ -439,13 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn persist_writes_score_and_criterion_tags() {
+    fn apply_score_writes_score_and_criterion_tags() {
         let ctx = EvaluationContext::paper_use_case();
         let enricher = Enricher::new(ctx.clone());
-        let mut eioc = enricher.enrich(cve_cluster(&ctx));
-        let api = MispApi::new("CAIS");
-        let event_id = persist_enriched(&api, &mut eioc).unwrap();
-        assert_eq!(eioc.misp_event_id, Some(event_id));
+        let eioc = enricher.enrich(cve_cluster(&ctx));
+        let mut event =
+            cais_misp::import::event_from_records(eioc.composed.summary(), &eioc.composed.records);
+        apply_score(&mut event, eioc.heuristic, &eioc.threat_score);
+        // The scored event passes the store's validation.
+        let api = cais_misp::MispApi::new("CAIS");
+        let event_id = api.add_event(event).unwrap();
         let event = api.get_event(event_id).unwrap();
         let stored_score = event.threat_score().expect("score attribute");
         assert!((stored_score - eioc.score()).abs() < 1e-3);

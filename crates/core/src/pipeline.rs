@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::collector::{aggregate_into_ciocs, InfrastructureCollector, OsintCollector};
 use crate::context::EvaluationContext;
-use crate::enrich::{persist_enriched_traced, Enricher};
+use crate::enrich::Enricher;
 use crate::error::CoreError;
 use crate::ioc::{ComposedIoc, EnrichedIoc, ReducedIoc};
 use crate::metrics::{StageMetrics, StageRecord};
@@ -112,22 +112,81 @@ enum FilterDrop {
     Benign,
 }
 
-/// Everything a parallel worker precomputes for one cIoC: the scored
-/// eIoC, the MISP event in its final stored form (score attribute,
-/// `cais:*` tags, published flag), the reduction outcome, and every
-/// serialized bus payload the sequential tail flushes in batches.
-/// Payloads are `None` only when serialization fails, mirroring the
-/// sequential path's ignore-on-error publishes.
+/// Everything a worker prepares for one cIoC besides its MISP event:
+/// the scored eIoC, how many attributes and tags the event had before
+/// the score was written (so the `created` announcement can show it as
+/// first stored), the reduction outcome, and the time each step took.
 struct PreparedIoc {
     eioc: EnrichedIoc,
-    event: cais_misp::MispEvent,
-    cioc_payload: Option<serde_json::Value>,
-    created_payload: Option<serde_json::Value>,
-    updated_payload: Option<serde_json::Value>,
-    published_payload: Option<serde_json::Value>,
-    eioc_payload: Option<serde_json::Value>,
+    unscored: (usize, usize),
     rioc: Option<ReducedIoc>,
-    rioc_payload: Option<serde_json::Value>,
+    enrich_nanos: u64,
+    build_nanos: u64,
+    reduce_nanos: u64,
+}
+
+/// Adds `items` passed-through records and the time since `started` to
+/// a stage.
+fn tally(stage: &mut StageRecord, items: usize, started: Instant) {
+    stage.records_in += items;
+    stage.records_out += items;
+    stage.wall_nanos += nanos_since(started);
+}
+
+/// Splits `items` into at most `workers` contiguous chunks and runs
+/// `work` on each: on scoped threads when there is more than one chunk,
+/// inline on the caller's thread otherwise. Results come back in chunk
+/// order, so concatenating them restores input order.
+fn run_chunked<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    work: impl Fn(Vec<T>) -> R + Sync,
+) -> Vec<R> {
+    let chunk_size = items.len().div_ceil(workers.max(1)).max(1);
+    if items.len() <= chunk_size {
+        return vec![work(items)];
+    }
+    let mut chunks: Vec<Vec<T>> = Vec::new();
+    let mut items = items.into_iter();
+    loop {
+        let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        chunks.push(chunk);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| scope.spawn(move || work(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("ingest worker panicked"))
+            .collect()
+    })
+}
+
+/// A stored event as an ingest announces it on `topic`: `created`
+/// shows it before the score (its first `unscored` attributes and
+/// tags, unpublished), `updated` scored but unpublished, and
+/// `published` exactly as stored.
+fn announced_form(
+    stored: &cais_misp::MispEvent,
+    unscored: (usize, usize),
+    topic: &str,
+) -> Option<serde_json::Value> {
+    if topic == topics::MISP_EVENT_PUBLISHED {
+        return serde_json::to_value(stored).ok();
+    }
+    let mut event = stored.clone();
+    event.published = false;
+    if topic == topics::MISP_EVENT {
+        event.attributes.truncate(unscored.0);
+        event.tags.truncate(unscored.1);
+    }
+    serde_json::to_value(&event).ok()
 }
 
 /// The assembled Context-Aware OSINT Platform.
@@ -296,18 +355,32 @@ impl Platform {
         updated
     }
 
-    /// Runs one OSINT ingestion round: dedup → aggregate/correlate →
-    /// store in MISP → heuristic analysis → eIoC write-back →
-    /// reduction → dashboard publication.
+    /// Runs one OSINT ingestion round: filter → dedup →
+    /// aggregate/correlate → heuristic analysis → eIoC write-back to
+    /// MISP → reduction → dashboard publication, all on the caller's
+    /// thread.
+    ///
+    /// Each eIoC's MISP event is built in its final form (score
+    /// attribute, `cais:*` tags, published flag) and stored by one
+    /// insert; the store assigns the ids, in composed order. The bus
+    /// carries the round grouped by stage: every cIoC on
+    /// `cais.cioc.received`, then per topic every `misp.event.created`,
+    /// `.updated` and `.published`, then `cais.eioc.ready`, then
+    /// `cais.rioc.published`. A payload is built only when a
+    /// subscription observes its topic.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors; scoring itself cannot fail.
+    /// Returns MISP persistence errors; scoring itself cannot fail. A
+    /// failed insert ends the round: the cIoC announcements are already
+    /// out, the events stored before it are announced and kept in
+    /// [`Platform::eiocs`]/[`Platform::riocs`], and the rest of the
+    /// round is dropped.
     pub fn ingest_feed_records(
         &mut self,
         records: Vec<FeedRecord>,
     ) -> Result<PlatformReport, CoreError> {
-        self.ingest_feed_records_traced(records, None)
+        self.ingest_round(records, 1, None)
     }
 
     /// [`Platform::ingest_feed_records`] continuing the caller's trace:
@@ -318,90 +391,18 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors; scoring itself cannot fail.
+    /// As [`Platform::ingest_feed_records`].
     pub fn ingest_feed_records_traced(
         &mut self,
         records: Vec<FeedRecord>,
         parent: Option<TraceContext>,
     ) -> Result<PlatformReport, CoreError> {
-        let mut span = self.tracer.child_of(parent, "pipeline", "ingest_round");
-        span.field("path", "serial");
-        span.field("records_in", records.len());
-        let round = span.sampled().then(|| span.context());
-        let mut report = PlatformReport {
-            records_in: records.len(),
-            ..PlatformReport::default()
-        };
-        let mut stages = StageMetrics::default();
-
-        // Filter stage: NLP relevance, then warninglists.
-        let started = Instant::now();
-        let before = records.len();
-        let mut records = records;
-        records.retain(|record| match self.filter_verdict(record) {
-            None => true,
-            Some(FilterDrop::Irrelevant) => {
-                report.nlp_filtered += 1;
-                false
-            }
-            Some(FilterDrop::Benign) => {
-                report.benign_filtered += 1;
-                false
-            }
-        });
-        stages.filter = StageRecord::timed(before, records.len(), nanos_since(started));
-
-        self.quality.record_batch(&records, self.ctx.now);
-
-        // Dedup stage.
-        let started = Instant::now();
-        let before = records.len();
-        let dropped_before = self.osint.dedup_stats().dropped;
-        let fresh = self.osint.dedup_batch(records);
-        report.duplicates_dropped = self.osint.dedup_stats().dropped - dropped_before;
-        stages.dedup = StageRecord::timed(before, fresh.len(), nanos_since(started));
-
-        // Compose stage: aggregation + correlation into cIoCs.
-        let started = Instant::now();
-        let before = fresh.len();
-        let ciocs = if fresh.is_empty() {
-            Vec::new()
-        } else {
-            aggregate_into_ciocs(fresh, self.ctx.now)
-        };
-        report.ciocs = ciocs.len();
-        stages.compose = StageRecord::timed(before, ciocs.len(), nanos_since(started));
-
-        for cioc in ciocs {
-            let started = Instant::now();
-            if let Ok(payload) = serde_json::to_value(&cioc) {
-                let _ =
-                    self.broker
-                        .publish_traced(Topic::new(topics::CIOC_RECEIVED), payload, round);
-            }
-            stages.publish.records_in += 1;
-            stages.publish.records_out += 1;
-            stages.publish.wall_nanos += nanos_since(started);
-
-            let started = Instant::now();
-            let eioc = self.enricher.enrich(cioc);
-            stages.enrich.records_in += 1;
-            stages.enrich.records_out += 1;
-            stages.enrich.wall_nanos += nanos_since(started);
-
-            self.finalize_eioc(eioc, &mut report, &mut stages, round)?;
-        }
-        report.stages = stages;
-        span.field("riocs", report.riocs);
-        self.instruments.record_round(&report);
-        self.instruments.record_reduce_caches(&self.reducer.stats());
-        self.broker.sample_queue_depths();
-        Ok(report)
+        self.ingest_round(records, 1, parent)
     }
 
-    /// The parallel ingestion path: the same stages, same outcome, but
-    /// the per-record work fanned out over up to `workers` scoped
-    /// threads.
+    /// [`Platform::ingest_feed_records`] with the per-record work fanned
+    /// out over up to `workers` scoped threads (`workers <= 1` runs
+    /// inline):
     ///
     /// * **filter** — records split into contiguous chunks, each chunk
     ///   classified by one worker, results merged in chunk order;
@@ -411,37 +412,29 @@ impl Platform {
     ///   merged back into input order;
     /// * **compose** — inherently global (correlation crosses records),
     ///   so it stays sequential;
-    /// * **enrich + prepare** — cIoCs split into contiguous chunks;
-    ///   each worker scores its chunk, builds the MISP event under an
-    ///   id pre-assigned from the store's counter, reduces against the
-    ///   inventory, and serializes every bus payload (all of this is
-    ///   pure or read-only over shared context);
-    /// * **persist + publish** — sequential: events are inserted in
-    ///   composed order (so the store assigns exactly the pre-assigned
-    ///   ids), then each topic's announcements flush as one
-    ///   [`Broker::publish_batch`].
+    /// * **enrich + reduce** — cIoCs split into contiguous chunks; each
+    ///   worker scores its chunk, builds each MISP event in its final
+    ///   form and reduces against the inventory (all pure or read-only
+    ///   over shared context);
+    /// * **persist + publish** — sequential: one insert per event in
+    ///   composed order, then one [`Broker::publish_with`] per topic.
     ///
-    /// Because every parallel stage merges deterministically (shard
+    /// Every parallel stage merges deterministically (shard
     /// partitioning preserves first-occurrence semantics; chunked
-    /// stages reassemble in input order), the produced eIoCs, rIoCs,
-    /// MISP event ids/contents and [`PlatformReport`] counters are
-    /// identical to [`Platform::ingest_feed_records`] over the same
-    /// input and state. Bus traffic carries the same messages in the
-    /// same per-topic order, but grouped by stage rather than
-    /// interleaved per eIoC, and store-modification timestamps may
-    /// differ by the batching delay.
+    /// stages reassemble in input order), so the eIoCs, rIoCs, MISP
+    /// event ids and contents, bus traffic and [`PlatformReport`]
+    /// counters are the same for every worker count. Only wall times
+    /// and store-modification timestamps differ.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors. Unlike the serial path, the
-    /// round's cIoC announcements precede all persistence, so on a
-    /// mid-batch error more cIoC announcements may already be out.
+    /// As [`Platform::ingest_feed_records`].
     pub fn ingest_feed_records_parallel(
         &mut self,
         records: Vec<FeedRecord>,
         workers: usize,
     ) -> Result<PlatformReport, CoreError> {
-        self.ingest_feed_records_parallel_traced(records, workers, None)
+        self.ingest_round(records, workers, None)
     }
 
     /// [`Platform::ingest_feed_records_parallel`] continuing the
@@ -449,19 +442,25 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors.
+    /// As [`Platform::ingest_feed_records`].
     pub fn ingest_feed_records_parallel_traced(
         &mut self,
         records: Vec<FeedRecord>,
         workers: usize,
         parent: Option<TraceContext>,
     ) -> Result<PlatformReport, CoreError> {
+        self.ingest_round(records, workers, parent)
+    }
+
+    /// The one ingestion round behind the four public entry points.
+    fn ingest_round(
+        &mut self,
+        records: Vec<FeedRecord>,
+        workers: usize,
+        parent: Option<TraceContext>,
+    ) -> Result<PlatformReport, CoreError> {
         let workers = workers.max(1);
-        if workers == 1 || records.len() < 2 {
-            return self.ingest_feed_records_traced(records, parent);
-        }
         let mut span = self.tracer.child_of(parent, "pipeline", "ingest_round");
-        span.field("path", "parallel");
         span.field("workers", workers);
         span.field("records_in", records.len());
         let round = span.sampled().then(|| span.context());
@@ -474,7 +473,7 @@ impl Platform {
         // Filter stage, chunked across workers.
         let started = Instant::now();
         let before = records.len();
-        let (records, nlp_dropped, benign_dropped) = self.filter_records_parallel(records, workers);
+        let (records, nlp_dropped, benign_dropped) = self.filter_records(records, workers);
         report.nlp_filtered = nlp_dropped;
         report.benign_filtered = benign_dropped;
         stages.filter = StageRecord::timed(before, records.len(), nanos_since(started));
@@ -501,98 +500,91 @@ impl Platform {
         report.ciocs = ciocs.len();
         stages.compose = StageRecord::timed(before, ciocs.len(), nanos_since(started));
 
-        // Enrich + prepare stage, chunked across workers, merged in
-        // chunk order: each worker scores its cIoCs, builds the MISP
-        // event under its pre-assigned id, reduces against the
-        // inventory, and serializes every announcement payload — all
-        // pure work lifted off the sequential tail.
-        let started = Instant::now();
-        let before = ciocs.len();
-        let prepared = self.prepare_parallel(ciocs, workers);
+        // Enrich + reduce, chunked across workers and merged in chunk
+        // order. Scoring, event building and reduction are timed apart
+        // per cIoC and summed into enrich, publish (the MISP write-back)
+        // and reduce, so each stage reports its own work.
+        let (events, mut prepared): (Vec<_>, Vec<_>) = run_chunked(ciocs, workers, |chunk| {
+            chunk
+                .into_iter()
+                .map(|cioc| self.prepare_one(cioc))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .unzip();
         let eioc_count = prepared.len();
-        stages.enrich = StageRecord::timed(before, eioc_count, nanos_since(started));
+        stages.enrich = StageRecord::timed(
+            eioc_count,
+            eioc_count,
+            prepared.iter().map(|p| p.enrich_nanos).sum(),
+        );
+        stages.reduce.wall_nanos = prepared.iter().map(|p| p.reduce_nanos).sum();
+        stages.publish.wall_nanos = prepared.iter().map(|p| p.build_nanos).sum();
 
-        let mut cioc_payloads = Vec::with_capacity(eioc_count);
-        let mut created_payloads = Vec::with_capacity(eioc_count);
-        let mut updated_payloads = Vec::with_capacity(eioc_count);
-        let mut published_payloads = Vec::with_capacity(eioc_count);
-        let mut eioc_payloads = Vec::with_capacity(eioc_count);
-        let mut events = Vec::with_capacity(eioc_count);
-        let mut outcomes = Vec::with_capacity(eioc_count);
-        for p in prepared {
-            cioc_payloads.extend(p.cioc_payload);
-            created_payloads.extend(p.created_payload);
-            updated_payloads.extend(p.updated_payload);
-            published_payloads.extend(p.published_payload);
-            eioc_payloads.extend(p.eioc_payload);
-            events.push(p.event);
-            outcomes.push((p.eioc, p.rioc, p.rioc_payload));
-        }
-
-        // One batched announcement of the round's cIoCs.
         let started = Instant::now();
-        self.broker
-            .publish_batch_traced(Topic::new(topics::CIOC_RECEIVED), cioc_payloads, round);
-        stages.publish.records_in += eioc_count;
-        stages.publish.records_out += eioc_count;
-        stages.publish.wall_nanos += nanos_since(started);
-
-        // Persist: inserts stay sequential so the store assigns exactly
-        // the ids the workers serialized; the created/updated/published
-        // announcements then flush as per-topic batches.
-        let started = Instant::now();
-        for event in events {
-            let expected = event.id;
-            let id = self.misp.store().insert_with_trace(event, round)?;
-            debug_assert_eq!(id, expected, "pre-assigned event id diverged");
-        }
-        self.broker
-            .publish_batch_traced(Topic::new(topics::MISP_EVENT), created_payloads, round);
-        self.broker.publish_batch_traced(
-            Topic::new(topics::MISP_EVENT_UPDATED),
-            updated_payloads,
+        self.broker.publish_with(
+            Topic::new(topics::CIOC_RECEIVED),
+            eioc_count,
+            |i| serde_json::to_value(&prepared[i].eioc.composed).ok(),
             round,
         );
-        if self.config.publish_enriched {
-            self.broker.publish_batch_traced(
-                Topic::new(topics::MISP_EVENT_PUBLISHED),
-                published_payloads,
-                round,
-            );
-        }
-        self.broker
-            .publish_batch_traced(Topic::new(topics::EIOC_READY), eioc_payloads, round);
-        stages.publish.records_in += eioc_count;
-        stages.publish.records_out += eioc_count;
-        stages.publish.wall_nanos += nanos_since(started);
-        report.eiocs = eioc_count;
+        tally(&mut stages.publish, eioc_count, started);
 
-        // Reduce bookkeeping: the reductions themselves ran in the
-        // workers; this just tallies them and keeps eIoC/rIoC order.
+        // Persist: one insert per eIoC, in composed order. The store
+        // assigns the id, which the eIoC and its rIoC then carry.
         let started = Instant::now();
-        let mut rioc_payloads = Vec::new();
-        for (eioc, rioc, rioc_payload) in outcomes {
+        let (ids, failure) = self.misp.store().insert_all_with_trace(events, round);
+        prepared.truncate(ids.len());
+        let mut written = Vec::with_capacity(ids.len());
+        for (p, id) in prepared.iter_mut().zip(ids) {
+            p.eioc.misp_event_id = Some(id);
+            if let Some(rioc) = &mut p.rioc {
+                rioc.misp_event_id = Some(id);
+            }
+            written.push((id, p.unscored));
+        }
+        self.announce_stored(&written, round);
+        self.broker.publish_with(
+            Topic::new(topics::EIOC_READY),
+            prepared.len(),
+            |i| serde_json::to_value(&prepared[i].eioc).ok(),
+            round,
+        );
+        tally(&mut stages.publish, prepared.len(), started);
+        report.eiocs = prepared.len();
+
+        // Reduce bookkeeping: the reductions ran with enrichment; this
+        // tallies them and keeps eIoC/rIoC order.
+        let started = Instant::now();
+        let first_new = self.riocs.len();
+        for p in prepared {
             stages.reduce.records_in += 1;
-            match rioc {
+            match p.rioc {
                 Some(rioc) => {
                     stages.reduce.records_out += 1;
-                    rioc_payloads.extend(rioc_payload);
                     self.riocs.push(rioc);
-                    report.riocs += 1;
                 }
                 None => stages.reduce.dropped += 1,
             }
-            self.eiocs.push(eioc);
+            self.eiocs.push(p.eioc);
         }
         stages.reduce.wall_nanos += nanos_since(started);
+        let new_riocs = &self.riocs[first_new..];
+        report.riocs = new_riocs.len();
 
         let started = Instant::now();
-        self.broker
-            .publish_batch_traced(Topic::new(topics::RIOC_PUBLISHED), rioc_payloads, round);
-        stages.publish.records_in += report.riocs;
-        stages.publish.records_out += report.riocs;
-        stages.publish.wall_nanos += nanos_since(started);
+        self.broker.publish_with(
+            Topic::new(topics::RIOC_PUBLISHED),
+            new_riocs.len(),
+            |i| serde_json::to_value(&new_riocs[i]).ok(),
+            round,
+        );
+        tally(&mut stages.publish, report.riocs, started);
 
+        if let Some(err) = failure {
+            return Err(err.into());
+        }
         report.stages = stages;
         span.field("riocs", report.riocs);
         self.instruments.record_round(&report);
@@ -601,8 +593,8 @@ impl Platform {
         Ok(report)
     }
 
-    /// Per-record filter decision shared by the serial and parallel
-    /// paths: NLP relevance first, warninglists second.
+    /// Per-record filter decision: NLP relevance first, warninglists
+    /// second.
     fn filter_verdict(&self, record: &FeedRecord) -> Option<FilterDrop> {
         if self.config.nlp_relevance_filter {
             if let Some(description) = &record.description {
@@ -619,9 +611,10 @@ impl Platform {
         None
     }
 
-    /// Runs the filter stage over contiguous chunks with scoped
-    /// threads, merging kept records in chunk order (= input order).
-    fn filter_records_parallel(
+    /// Runs the filter stage over contiguous chunks (see
+    /// [`run_chunked`]), returning the kept records in input order and
+    /// the NLP and warninglist drop counts.
+    fn filter_records(
         &self,
         records: Vec<FeedRecord>,
         workers: usize,
@@ -629,43 +622,21 @@ impl Platform {
         if !self.config.nlp_relevance_filter && !self.config.warninglist_filter {
             return (records, 0, 0);
         }
-        let chunk_size = records.len().div_ceil(workers).max(1);
-        let mut chunks: Vec<Vec<FeedRecord>> = Vec::new();
-        let mut records = records.into_iter();
-        loop {
-            let chunk: Vec<FeedRecord> = records.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let this = self;
-        let results: Vec<(Vec<FeedRecord>, usize, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|mut chunk| {
-                    scope.spawn(move || {
-                        let mut nlp_dropped = 0;
-                        let mut benign_dropped = 0;
-                        chunk.retain(|record| match this.filter_verdict(record) {
-                            None => true,
-                            Some(FilterDrop::Irrelevant) => {
-                                nlp_dropped += 1;
-                                false
-                            }
-                            Some(FilterDrop::Benign) => {
-                                benign_dropped += 1;
-                                false
-                            }
-                        });
-                        (chunk, nlp_dropped, benign_dropped)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("filter worker panicked"))
-                .collect()
+        let results = run_chunked(records, workers, |mut chunk| {
+            let mut nlp_dropped = 0;
+            let mut benign_dropped = 0;
+            chunk.retain(|record| match self.filter_verdict(record) {
+                None => true,
+                Some(FilterDrop::Irrelevant) => {
+                    nlp_dropped += 1;
+                    false
+                }
+                Some(FilterDrop::Benign) => {
+                    benign_dropped += 1;
+                    false
+                }
+            });
+            (chunk, nlp_dropped, benign_dropped)
         });
         let mut kept = Vec::new();
         let mut nlp_dropped = 0;
@@ -678,162 +649,93 @@ impl Platform {
         (kept, nlp_dropped, benign_dropped)
     }
 
-    /// The per-cIoC work that needs no store access, fused so worker
-    /// threads can run it end to end: enrich, build the MISP event
-    /// under its pre-assigned id, reduce against the inventory, and
-    /// serialize every bus payload the sequential tail will flush.
-    fn prepare_one(&self, cioc: ComposedIoc, event_id: u64) -> PreparedIoc {
-        let mut eioc = self.enricher.enrich(cioc);
-        let cioc_payload = serde_json::to_value(&eioc.composed).ok();
-        let mut event =
+    /// The per-cIoC work that needs no store access, fused so a worker
+    /// runs it end to end: enrich, build the MISP event in its final
+    /// stored form, and reduce against the inventory.
+    fn prepare_one(&self, cioc: ComposedIoc) -> (cais_misp::MispEvent, PreparedIoc) {
+        let started = Instant::now();
+        let eioc = self.enricher.enrich(cioc);
+        let enrich_nanos = nanos_since(started);
+        let started = Instant::now();
+        let event =
             cais_misp::import::event_from_records(eioc.composed.summary(), &eioc.composed.records);
-        event.org = self.misp.org().to_owned();
-        event.id = event_id;
-        let created_payload = serde_json::to_value(&event).ok();
-        event.add_attribute(crate::enrich::score_attribute(
-            eioc.heuristic,
-            &eioc.threat_score,
-        ));
-        for tag in crate::enrich::score_tags(eioc.heuristic, &eioc.threat_score) {
-            event.add_tag(tag);
-        }
-        let updated_payload = serde_json::to_value(&event).ok();
-        let published_payload = if self.config.publish_enriched {
-            event.published = true;
-            serde_json::to_value(&event).ok()
-        } else {
-            None
-        };
-        eioc.misp_event_id = Some(event_id);
-        let eioc_payload = serde_json::to_value(&eioc).ok();
+        let unscored = (event.attributes.len(), event.tags.len());
+        let event = self.final_event(event, eioc.heuristic, &eioc.threat_score);
+        let build_nanos = nanos_since(started);
+        let started = Instant::now();
         let rioc = self.reducer.reduce(&eioc);
-        let rioc_payload = rioc.as_ref().and_then(|r| serde_json::to_value(r).ok());
-        PreparedIoc {
+        let prepared = PreparedIoc {
             eioc,
-            event,
-            cioc_payload,
-            created_payload,
-            updated_payload,
-            published_payload,
-            eioc_payload,
+            unscored,
             rioc,
-            rioc_payload,
-        }
+            enrich_nanos,
+            build_nanos,
+            reduce_nanos: nanos_since(started),
+        };
+        (event, prepared)
     }
 
-    /// Runs [`Platform::prepare_one`] over cIoC chunks concurrently,
-    /// merging results in chunk order (= composed order). Event ids are
-    /// pre-assigned from [`cais_misp::MispStore::peek_next_id`], which
-    /// is exact because this pipeline is the only inserter and performs
-    /// the inserts sequentially afterwards.
-    fn prepare_parallel(&self, ciocs: Vec<ComposedIoc>, workers: usize) -> Vec<PreparedIoc> {
-        let base_id = self.misp.store().peek_next_id();
-        if ciocs.len() < 2 {
-            return ciocs
-                .into_iter()
-                .enumerate()
-                .map(|(k, cioc)| self.prepare_one(cioc, base_id + k as u64))
-                .collect();
-        }
-        let chunk_size = ciocs.len().div_ceil(workers).max(1);
-        let mut chunks: Vec<(usize, Vec<ComposedIoc>)> = Vec::new();
-        let mut offset = 0;
-        let mut ciocs = ciocs.into_iter();
-        loop {
-            let chunk: Vec<ComposedIoc> = ciocs.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let len = chunk.len();
-            chunks.push((offset, chunk));
-            offset += len;
-        }
-        let this = self;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, cioc)| this.prepare_one(cioc, base_id + (offset + k) as u64))
-                            .collect::<Vec<PreparedIoc>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("prepare worker panicked"))
-                .collect()
-        })
+    /// An event in its final stored form: stamped with the operating
+    /// organization, carrying its threat score
+    /// ([`crate::enrich::apply_score`]), and published when
+    /// [`PlatformConfig::publish_enriched`] is set — so one insert
+    /// stores it.
+    fn final_event(
+        &self,
+        mut event: cais_misp::MispEvent,
+        heuristic: crate::heuristics::HeuristicKind,
+        threat_score: &crate::heuristics::ThreatScore,
+    ) -> cais_misp::MispEvent {
+        event.org = self.misp.org().to_owned();
+        crate::enrich::apply_score(&mut event, heuristic, threat_score);
+        event.published = self.config.publish_enriched;
+        event
     }
 
-    /// The sequential tail every eIoC goes through regardless of path:
-    /// MISP persistence and publication, the EIOC_READY announcement,
-    /// reduction, and the RIOC_PUBLISHED announcement on a match.
-    fn finalize_eioc(
-        &mut self,
-        mut eioc: EnrichedIoc,
-        report: &mut PlatformReport,
-        stages: &mut StageMetrics,
-        round: Option<TraceContext>,
-    ) -> Result<(), CoreError> {
-        let started = Instant::now();
-        let event_id = persist_enriched_traced(&self.misp, &mut eioc, round)?;
+    /// Announces stored `(event id, unscored counts)` pairs as one batch
+    /// per topic on `misp.event.created`, `.updated` and (when eIoCs are
+    /// published) `.published`. Payloads come from the stored events
+    /// (see [`announced_form`]) and are built only when observed.
+    fn announce_stored(&self, written: &[(u64, (usize, usize))], parent: Option<TraceContext>) {
+        let mut announced = vec![topics::MISP_EVENT, topics::MISP_EVENT_UPDATED];
         if self.config.publish_enriched {
-            self.misp.publish_event(event_id)?;
+            announced.push(topics::MISP_EVENT_PUBLISHED);
         }
-        if let Ok(payload) = serde_json::to_value(&eioc) {
-            let _ = self
-                .broker
-                .publish_traced(Topic::new(topics::EIOC_READY), payload, round);
+        let store = self.misp.store();
+        for topic in announced {
+            self.broker.publish_with(
+                Topic::new(topic),
+                written.len(),
+                |i| {
+                    let (id, unscored) = written[i];
+                    store
+                        .with_event(id, |event| announced_form(event, unscored, topic))
+                        .flatten()
+                },
+                parent,
+            );
         }
-        stages.publish.records_in += 1;
-        stages.publish.records_out += 1;
-        stages.publish.wall_nanos += nanos_since(started);
-        report.eiocs += 1;
-
-        let started = Instant::now();
-        let rioc = self.reducer.reduce(&eioc);
-        stages.reduce.records_in += 1;
-        stages.reduce.wall_nanos += nanos_since(started);
-        match rioc {
-            Some(rioc) => {
-                stages.reduce.records_out += 1;
-                let started = Instant::now();
-                if let Ok(payload) = serde_json::to_value(&rioc) {
-                    let _ = self.broker.publish_traced(
-                        Topic::new(topics::RIOC_PUBLISHED),
-                        payload,
-                        round,
-                    );
-                }
-                stages.publish.records_in += 1;
-                stages.publish.records_out += 1;
-                stages.publish.wall_nanos += nanos_since(started);
-                self.riocs.push(rioc);
-                report.riocs += 1;
-            }
-            None => stages.reduce.dropped += 1,
-        }
-        self.eiocs.push(eioc);
-        Ok(())
     }
 
     /// Ingests a STIX 2.0 bundle from a sharing partner: every object a
-    /// heuristic supports is scored against the context, stored in MISP
-    /// with its threat score, and published. Returns how many objects
-    /// were scored.
+    /// heuristic supports is scored against the context and stored in
+    /// MISP in its final form (see [`Platform::ingest_feed_records`]),
+    /// with the same announcements. Returns how many objects were
+    /// scored.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors.
+    /// Returns MISP persistence errors. A failed insert ends the ingest
+    /// after the events stored before it are announced.
     pub fn ingest_stix_bundle(&mut self, bundle: &cais_stix::Bundle) -> Result<usize, CoreError> {
         use crate::heuristics::generic;
         // Arm every carried indicator for live detection replay.
         self.detection.arm_bundle(bundle);
-        let mut scored = 0;
+        let mut span = self.tracer.root("pipeline", "ingest_bundle");
+        span.field("objects", bundle.objects().len());
+        let parent = span.sampled().then(|| span.context());
+        let mut events = Vec::new();
+        let mut unscored = Vec::new();
         for object in bundle.objects() {
             let Some((heuristic, threat_score)) = generic::evaluate_object(object, &self.ctx)
             else {
@@ -854,14 +756,17 @@ impl Platform {
                     event.date = object.created();
                     event
                 });
-            let event_id = self.misp.add_event(event)?;
-            crate::enrich::attach_score(&self.misp, event_id, heuristic, &threat_score)?;
-            if self.config.publish_enriched {
-                self.misp.publish_event(event_id)?;
-            }
-            scored += 1;
+            unscored.push((event.attributes.len(), event.tags.len()));
+            events.push(self.final_event(event, heuristic, &threat_score));
         }
-        Ok(scored)
+        let (ids, failure) = self.misp.store().insert_all_with_trace(events, parent);
+        let written: Vec<_> = ids.into_iter().zip(unscored).collect();
+        self.announce_stored(&written, parent);
+        span.field("scored", written.len());
+        match failure {
+            Some(err) => Err(err.into()),
+            None => Ok(written.len()),
+        }
     }
 
     /// Feeds network packets through the infrastructure collector,
@@ -1000,11 +905,7 @@ impl Platform {
         span.field("delivered", outcome.delivered);
         span.field("failed", outcome.failed);
         span.field("quarantined", outcome.quarantined);
-        outcome.report = if workers <= 1 {
-            self.ingest_feed_records_traced(records, ingress)?
-        } else {
-            self.ingest_feed_records_parallel_traced(records, workers, ingress)?
-        };
+        outcome.report = self.ingest_round(records, workers, ingress)?;
         Ok(outcome)
     }
 }
@@ -1455,17 +1356,87 @@ mod parallel_tests {
         assert!(stages.total_nanos() > 0);
     }
 
+    /// Nulls every `uuid` key and every key containing `timestamp`:
+    /// fresh v4 UUIDs and store-modification stamps differ run to run.
+    fn mask_volatile(value: &mut serde_json::Value) {
+        match value {
+            serde_json::Value::Object(map) => {
+                for (key, field) in map.iter_mut() {
+                    if key == "uuid" || key.contains("timestamp") {
+                        *field = serde_json::Value::Null;
+                    } else {
+                        mask_volatile(field);
+                    }
+                }
+            }
+            serde_json::Value::Array(items) => items.iter_mut().for_each(mask_volatile),
+            _ => {}
+        }
+    }
+
     #[test]
     fn parallel_publishes_the_same_bus_traffic() {
-        let mut platform = Platform::paper_use_case();
-        let ciocs = platform.broker().subscribe(topics::CIOC_RECEIVED);
-        let eiocs = platform.broker().subscribe(topics::EIOC_READY);
-        let riocs = platform.broker().subscribe(topics::RIOC_PUBLISHED);
-        let records = mixed_workload(&platform, 120);
-        let report = platform.ingest_feed_records_parallel(records, 4).unwrap();
-        assert_eq!(ciocs.drain().len(), report.ciocs);
-        assert_eq!(eiocs.drain().len(), report.eiocs);
-        assert_eq!(riocs.drain().len(), report.riocs);
+        let mut per_worker_count = Vec::new();
+        for workers in [1, 4] {
+            let mut platform = Platform::paper_use_case();
+            let all = platform.broker().subscribe("#");
+            let mut records = mixed_workload(&platform, 120);
+            // Advisories for the inventory's Apache Struts, so the round
+            // also announces rIoCs.
+            let now = platform.context().now;
+            for cve in ["CVE-2017-9805", "CVE-2017-5638"] {
+                records.push(
+                    FeedRecord::new(
+                        Observable::new(ObservableKind::Cve, cve),
+                        ThreatCategory::VulnerabilityExploitation,
+                        "nvd-feed",
+                        now.add_days(-100),
+                    )
+                    .with_cve(cve)
+                    .with_description("remote code execution in apache struts"),
+                );
+            }
+            let report = platform
+                .ingest_feed_records_parallel(records, workers)
+                .unwrap();
+            assert!(report.riocs > 0, "the workload must yield rIoCs");
+            let mut by_topic: std::collections::BTreeMap<String, Vec<serde_json::Value>> =
+                std::collections::BTreeMap::new();
+            for message in all.drain() {
+                let topic = message.topic.as_str().to_owned();
+                let mut payload = message.payload;
+                if topic == topics::MISP_EVENT_PUBLISHED {
+                    // Every published announcement is the stored event.
+                    let id = payload["id"].as_u64().expect("event id");
+                    let stored = platform
+                        .misp()
+                        .store()
+                        .with_event(id, |event| serde_json::to_value(event))
+                        .expect("announced event is stored")
+                        .unwrap();
+                    assert_eq!(payload, stored, "{workers} workers, event {id}");
+                }
+                mask_volatile(&mut payload);
+                by_topic.entry(topic).or_default().push(payload);
+            }
+            let count = |topic: &str| by_topic.get(topic).map_or(0, Vec::len);
+            assert_eq!(count(topics::CIOC_RECEIVED), report.ciocs);
+            assert_eq!(count(topics::MISP_EVENT), report.eiocs);
+            assert_eq!(count(topics::MISP_EVENT_UPDATED), report.eiocs);
+            assert_eq!(count(topics::MISP_EVENT_PUBLISHED), report.eiocs);
+            assert_eq!(count(topics::EIOC_READY), report.eiocs);
+            assert_eq!(count(topics::RIOC_PUBLISHED), report.riocs);
+            per_worker_count.push(by_topic);
+        }
+        let serial = &per_worker_count[0];
+        let parallel = &per_worker_count[1];
+        assert_eq!(
+            serial.keys().collect::<Vec<_>>(),
+            parallel.keys().collect::<Vec<_>>()
+        );
+        for (topic, payloads) in serial {
+            assert_eq!(payloads, &parallel[topic], "topic {topic}");
+        }
     }
 
     #[test]
@@ -1500,10 +1471,7 @@ mod parallel_tests {
         let round = &spans[0];
         assert_eq!(round.name, "ingest_round");
         assert!(round.duration_nanos.is_some());
-        assert!(round
-            .fields
-            .iter()
-            .any(|(k, v)| k == "path" && v == "parallel"));
+        assert!(round.fields.iter().any(|(k, v)| k == "workers" && v == "4"));
         // The round's store inserts and bus publishes chain beneath it.
         let stores = platform.tracer().snapshot_subsystem("store");
         assert!(!stores.is_empty());
@@ -1544,7 +1512,41 @@ mod parallel_tests {
     }
 
     #[test]
-    fn single_worker_falls_back_to_sequential() {
+    fn failed_insert_keeps_and_announces_the_stored_prefix() {
+        for workers in [1, 4] {
+            let mut platform = Platform::paper_use_case();
+            let created = platform.broker().subscribe(topics::MISP_EVENT);
+            let ciocs = platform.broker().subscribe(topics::CIOC_RECEIVED);
+            let now = platform.context().now;
+            let mut records = mixed_workload(&platform, 40);
+            // An address the store's attribute validation rejects.
+            records.insert(
+                20,
+                FeedRecord::new(
+                    Observable::new(ObservableKind::Ipv4, "not-an-address"),
+                    ThreatCategory::Scanner,
+                    "feed-0",
+                    now,
+                ),
+            );
+            let err = platform.ingest_feed_records_parallel(records, workers);
+            assert!(err.is_err(), "{workers} workers");
+            let stored = platform.misp().store().len();
+            assert!(ciocs.drain().len() > stored, "{workers} workers");
+            assert_eq!(created.drain().len(), stored, "{workers} workers");
+            assert_eq!(platform.eiocs().len(), stored, "{workers} workers");
+            let mut ids: Vec<u64> = platform
+                .eiocs()
+                .iter()
+                .map(|e| e.misp_event_id.expect("kept eIoCs are stored"))
+                .collect();
+            ids.dedup();
+            assert_eq!(ids.len(), stored, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn single_worker_runs_inline() {
         let mut platform = Platform::paper_use_case();
         let records = mixed_workload(&platform, 40);
         let report = platform.ingest_feed_records_parallel(records, 1).unwrap();

@@ -251,23 +251,27 @@ impl MispApi {
 
     /// Announces an event on the bus (no-op without a broker). Exposed
     /// crate-internally so the sync apply path can announce merges the
-    /// same way API mutations do.
+    /// same way API mutations do. The payload is serialized under the
+    /// store's read lock, and only when a subscription observes the
+    /// topic.
     pub(crate) fn announce(&self, topic: &str, event_id: u64) {
         if let Some(broker) = &self.broker {
-            // Serialize the payload under the store's read lock instead
-            // of cloning the whole event out first.
-            if let Some(Ok(payload)) = self
-                .store
-                .with_event(event_id, |event| serde_json::to_value(event))
-            {
-                // Chain the publish onto the event's trace (linked at
-                // insert/update) so bus fan-out joins the span tree.
-                let parent = self.tracer.read().as_ref().and_then(|t| {
-                    let uuid = self.store.with_event(event_id, |event| event.uuid)?;
-                    t.linked(&uuid.to_string())
-                });
-                broker.publish_traced(Topic::new(topic), payload, parent);
-            }
+            // Chain the publish onto the event's trace (linked at
+            // insert/update) so bus fan-out joins the span tree.
+            let parent = self.tracer.read().as_ref().and_then(|t| {
+                let uuid = self.store.with_event(event_id, |event| event.uuid)?;
+                t.linked(&uuid.to_string())
+            });
+            broker.publish_with(
+                Topic::new(topic),
+                1,
+                |_| {
+                    self.store
+                        .with_event(event_id, |event| serde_json::to_value(event).ok())
+                        .flatten()
+                },
+                parent,
+            );
         }
     }
 }

@@ -317,18 +317,66 @@ impl MispStore {
     /// Returns attribute-validation errors.
     pub fn insert_with_trace(
         &self,
-        mut event: MispEvent,
+        event: MispEvent,
         parent: Option<TraceContext>,
     ) -> Result<u64, MispError> {
         let tracer = self.tracer();
         let mut span = tracer
             .as_ref()
             .map(|t| t.child_of(parent, "store", "store_insert"));
+        let link = tracer.as_ref().zip(span.as_ref().map(|s| s.context()));
+        let id = self.insert_linked(event, link)?;
+        if let Some(span) = span.as_mut() {
+            span.field("event_id", id);
+        }
+        Ok(id)
+    }
+
+    /// Inserts `events` in order under one `store_insert` span, a child
+    /// of `parent`, and links each event's UUID to it: the batch form of
+    /// [`MispStore::insert_with_trace`] an ingestion round uses, so a
+    /// traced round pays for one span instead of one per event. Stops
+    /// at the first event that fails validation. Returns the ids
+    /// stored, in order, and the error that stopped the batch.
+    pub fn insert_all_with_trace(
+        &self,
+        events: Vec<MispEvent>,
+        parent: Option<TraceContext>,
+    ) -> (Vec<u64>, Option<MispError>) {
+        let tracer = self.tracer();
+        let mut span = tracer
+            .as_ref()
+            .map(|t| t.child_of(parent, "store", "store_insert"));
+        let link = tracer.as_ref().zip(span.as_ref().map(|s| s.context()));
+        let mut ids = Vec::with_capacity(events.len());
+        let mut failure = None;
+        for event in events {
+            match self.insert_linked(event, link) {
+                Ok(id) => ids.push(id),
+                Err(err) => {
+                    failure = Some(err);
+                    break;
+                }
+            }
+        }
+        if let Some(span) = span.as_mut() {
+            span.field("events", ids.len());
+        }
+        (ids, failure)
+    }
+
+    /// Validates and stores one event, linking its UUID to the insert
+    /// span's context when that context is sampled.
+    fn insert_linked(
+        &self,
+        mut event: MispEvent,
+        link: Option<(&Tracer, TraceContext)>,
+    ) -> Result<u64, MispError> {
         for attribute in &event.attributes {
             attribute.validate()?;
         }
-        if let (Some(t), Some(span)) = (tracer.as_ref(), span.as_ref()) {
-            t.link(&event.uuid.to_string(), span.context());
+        if let Some((t, ctx)) = link.filter(|(_, ctx)| ctx.sampled) {
+            t.link(&event.uuid.to_string(), ctx);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         event.id = id;
@@ -361,9 +409,6 @@ impl MispStore {
             },
         );
         self.changes.ids.write().push(id);
-        if let Some(span) = span.as_mut() {
-            span.field("event_id", id);
-        }
         Ok(id)
     }
 
@@ -564,9 +609,9 @@ impl MispStore {
 
     /// The id the next inserted event will receive. With inserts
     /// serialized by the caller, ids are predictable as
-    /// `peek_next_id() + k` for the k-th insert — the parallel
-    /// ingestion pipeline uses this to pre-assign event ids (and
-    /// pre-serialize their announcements) in worker threads.
+    /// `peek_next_id() + k` for the k-th insert, so a caller can take
+    /// it before an ingestion round and walk exactly the round's new
+    /// events afterwards.
     pub fn peek_next_id(&self) -> u64 {
         self.next_id.load(Ordering::Relaxed)
     }
