@@ -8,12 +8,14 @@
 //! peer, and leak nothing — a violation aborts the run, which fails
 //! CI. Writes `BENCH_federation.json` (schema in
 //! [`cais_bench::report`]), gated by `bench_compare` on the fault-free
-//! deliveries/sec headline.
+//! deliveries/sec headline, at the default scale only; any other scale
+//! prints the document to stdout, so a smoke run never replaces the
+//! full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin federation_json           # writes BENCH_federation.json
 //! cargo run --release -p cais-bench --bin federation_json -- -      # print to stdout instead
-//! cargo run --release -p cais-bench --bin federation_json -- 4 16   # peers events (CI smoke)
+//! cargo run --release -p cais-bench --bin federation_json -- 4 16   # peers events (smoke, stdout)
 //! ```
 
 use std::time::Instant;
@@ -28,6 +30,10 @@ use cais_misp::{AttributeCategory, MispAttribute, MispEvent};
 const MAX_ROUNDS: u32 = 256;
 const FAULT_RATE: f64 = 0.2;
 const CHAOS_SEED: u64 = 42;
+
+/// The snapshot scale: mesh peers, seeded events.
+const DEFAULT_PEERS: usize = 8;
+const DEFAULT_EVENTS: usize = 64;
 
 /// The transient wire faults the chaos run rotates across edges.
 const WIRE_KINDS: [FaultKind; 5] = [
@@ -85,10 +91,11 @@ fn run(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let peers = numeric.first().copied().unwrap_or(8).max(2);
-    let events = numeric.get(1).copied().unwrap_or(64).max(1);
+    let peers = numeric.first().copied().unwrap_or(DEFAULT_PEERS).max(2);
+    let events = numeric.get(1).copied().unwrap_or(DEFAULT_EVENTS).max(1);
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (peers, events) != (DEFAULT_PEERS, DEFAULT_EVENTS);
 
     eprintln!("federation_json: fault-free mesh of {peers} TCP peers, {events} events…");
     let (mut healthy, healthy_report, healthy_nanos) = run(peers, events, FaultPlan::healthy());

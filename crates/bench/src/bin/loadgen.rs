@@ -26,12 +26,14 @@
 //!    histogram and is reported separately.
 //!
 //! Writes `BENCH_serve.json` (schema in [`cais_bench::report`]), gated
-//! by `bench_compare` on the multiplexed polls/sec headline.
+//! by `bench_compare` on the multiplexed polls/sec headline, at the
+//! default scale only; any other scale prints the document to stdout,
+//! so a smoke run never replaces the full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin loadgen                  # full: 1k churn, 10k mixed
 //! cargo run --release -p cais-bench --bin loadgen -- -             # print doc to stdout instead
-//! cargo run --release -p cais-bench --bin loadgen -- 128 1500 256  # connections polls high_scale (CI smoke)
+//! cargo run --release -p cais-bench --bin loadgen -- 128 1500 256  # connections polls high_scale (CI smoke, stdout)
 //! ```
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -96,17 +98,33 @@ fn drain_time_wait() {
     }
 }
 
+/// The snapshot scale: churn connections, churn polls, mixed-phase
+/// connections.
+const DEFAULT_CONNECTIONS: usize = 1_000;
+const DEFAULT_POLLS: usize = 5_000;
+const DEFAULT_HIGH_SCALE: usize = 10_000;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--server") {
         server_mode();
         return;
     }
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let connections = numeric.first().copied().unwrap_or(1_000).max(1);
-    let polls = numeric.get(1).copied().unwrap_or(5_000).max(connections);
-    let high_scale = numeric.get(2).copied().unwrap_or(10_000).max(1);
+    let connections = numeric
+        .first()
+        .copied()
+        .unwrap_or(DEFAULT_CONNECTIONS)
+        .max(1);
+    let polls = numeric
+        .get(1)
+        .copied()
+        .unwrap_or(DEFAULT_POLLS)
+        .max(connections);
+    let high_scale = numeric.get(2).copied().unwrap_or(DEFAULT_HIGH_SCALE).max(1);
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (connections, polls, high_scale)
+            != (DEFAULT_CONNECTIONS, DEFAULT_POLLS, DEFAULT_HIGH_SCALE);
 
     let mut child = ServerChild::spawn();
     let fixture = child.fixture.clone();

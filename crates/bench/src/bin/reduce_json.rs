@@ -1,13 +1,15 @@
 //! Machine-readable reduce benchmark: times the indexed reducer
 //! against the retained linear-scan baseline on a synthetic
 //! 1k-node / 50k-eIoC workload, cross-checks their rIoC output, and
-//! writes `BENCH_reduce.json` for CI trend tracking.
+//! writes `BENCH_reduce.json` for CI trend tracking at the default
+//! scale only; any other scale prints the document to stdout, so a
+//! smoke run never replaces the full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin reduce_json              # writes BENCH_reduce.json
 //! cargo run --release -p cais-bench --bin reduce_json -- -         # print to stdout instead
 //! cargo run --release -p cais-bench --bin reduce_json -- 200 5000 500
-//!                                       # nodes eiocs linear_sample (smoke-test sizing)
+//!                                       # nodes eiocs linear_sample (smoke sizing, stdout)
 //! ```
 
 use std::sync::Arc;
@@ -17,13 +19,24 @@ use cais_bench::report::{reduce_bench_doc, ReduceBenchMeasurement};
 use cais_bench::workloads;
 use cais_core::{EvaluationContext, Reducer};
 
+/// The snapshot scale: inventory nodes, eIoCs, eIoCs timed on the
+/// linear baseline.
+const DEFAULT_NODES: usize = 1_000;
+const DEFAULT_EIOCS: usize = 50_000;
+const DEFAULT_LINEAR_SAMPLE: usize = 5_000;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let nodes = numeric.first().copied().unwrap_or(1_000);
-    let eiocs = numeric.get(1).copied().unwrap_or(50_000);
-    let linear_sample = numeric.get(2).copied().unwrap_or(5_000).min(eiocs);
+    let nodes = numeric.first().copied().unwrap_or(DEFAULT_NODES);
+    let eiocs = numeric.get(1).copied().unwrap_or(DEFAULT_EIOCS);
+    let linear_sample = numeric
+        .get(2)
+        .copied()
+        .unwrap_or(DEFAULT_LINEAR_SAMPLE)
+        .min(eiocs);
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (nodes, eiocs, linear_sample) != (DEFAULT_NODES, DEFAULT_EIOCS, DEFAULT_LINEAR_SAMPLE);
 
     let ctx = EvaluationContext::paper_use_case();
     let inventory = Arc::new(workloads::synthetic_inventory(42, nodes));

@@ -4,12 +4,14 @@
 //! re-serialize-everything baseline. Byte equivalence of the cached
 //! and naive outputs (and of serial vs parallel STIX bundle assembly)
 //! is asserted — a mismatch aborts the run, which fails CI. Writes
-//! `BENCH_share.json` for trend tracking.
+//! `BENCH_share.json` for trend tracking at the default scale only; any
+//! other scale prints the document to stdout, so a smoke run never
+//! replaces the full-scale snapshot.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin share_json            # writes BENCH_share.json
 //! cargo run --release -p cais-bench --bin share_json -- -       # print to stdout instead
-//! cargo run --release -p cais-bench --bin share_json -- 1000 3  # events pulls (smoke sizing)
+//! cargo run --release -p cais-bench --bin share_json -- 1000 3  # events pulls (smoke sizing, stdout)
 //! ```
 
 use std::time::Instant;
@@ -21,6 +23,10 @@ use cais_misp::{MispStore, ShareExporter};
 
 const FORMAT: &str = "misp-json";
 const CHURN_FRACTION: f64 = 0.01;
+
+/// The snapshot scale: events in the store, pulls.
+const DEFAULT_EVENTS: usize = 10_000;
+const DEFAULT_PULLS: usize = 3;
 
 /// The uncached baseline: every event re-serialized on every pull,
 /// joined exactly like [`ShareExporter::pull`] joins its documents.
@@ -41,10 +47,11 @@ fn naive_pull(store: &MispStore, registry: &ExportRegistry) -> Vec<u8> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let to_stdout = args.first().map(String::as_str) == Some("-");
     let numeric: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let events = numeric.first().copied().unwrap_or(10_000);
-    let pulls = numeric.get(1).copied().unwrap_or(3).max(2);
+    let events = numeric.first().copied().unwrap_or(DEFAULT_EVENTS);
+    let pulls = numeric.get(1).copied().unwrap_or(DEFAULT_PULLS).max(2);
+    let to_stdout = args.first().map(String::as_str) == Some("-")
+        || (events, pulls) != (DEFAULT_EVENTS, DEFAULT_PULLS);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

@@ -75,21 +75,31 @@ fn main() {
     // One untimed warm-up pass, then interleaved best-of-REPS: running
     // the three modes round-robin instead of back-to-back keeps cache
     // and allocator warm-up from being billed to whichever mode runs
-    // first.
+    // first, and rotating which mode opens each repetition keeps a
+    // fixed position in the order from being billed to one mode.
     run_pass(&rounds, Mode::Disabled);
+    let modes = [Mode::Disabled, Mode::Traced, Mode::Sampled];
     let mut baseline_nanos = u64::MAX;
     let mut traced_nanos = u64::MAX;
     let mut sampled_nanos = u64::MAX;
     let mut spans_recorded = 0;
     let mut sampled_spans = 0;
-    for _ in 0..REPS {
-        baseline_nanos = baseline_nanos.min(run_pass(&rounds, Mode::Disabled).0);
-        let (nanos, spans) = run_pass(&rounds, Mode::Traced);
-        traced_nanos = traced_nanos.min(nanos);
-        spans_recorded = spans;
-        let (nanos, spans) = run_pass(&rounds, Mode::Sampled);
-        sampled_nanos = sampled_nanos.min(nanos);
-        sampled_spans = spans;
+    for rep in 0..REPS {
+        for offset in 0..modes.len() {
+            let mode = modes[(rep + offset) % modes.len()];
+            let (nanos, spans) = run_pass(&rounds, mode);
+            match mode {
+                Mode::Disabled => baseline_nanos = baseline_nanos.min(nanos),
+                Mode::Traced => {
+                    traced_nanos = traced_nanos.min(nanos);
+                    spans_recorded = spans;
+                }
+                Mode::Sampled => {
+                    sampled_nanos = sampled_nanos.min(nanos);
+                    sampled_spans = spans;
+                }
+            }
+        }
     }
 
     let measurement = TraceBenchMeasurement {

@@ -977,6 +977,12 @@ mod tests {
         let reply = read_frame(&mut stream).unwrap();
         assert_eq!(reply, b"cached-shared-reply");
 
+        // The server counts a frame once it is written, which can be
+        // after the client has read it: wait for the count.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.stats().frames_out < 2 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
         let stats = handle.stats();
         assert_eq!(stats.accepted, 1);
         assert!(stats.frames_in >= 2);

@@ -188,19 +188,11 @@ impl TaxiiClient {
     ///
     /// Returns I/O and server errors.
     pub fn all_objects(&self, collection: &Uuid) -> io::Result<Vec<serde_json::Value>> {
-        let mut out = Vec::new();
-        let mut watermark = None;
-        loop {
-            let envelope = self.objects(collection, watermark)?;
-            out.extend(envelope.objects);
-            if !envelope.more {
-                return Ok(out);
-            }
-            watermark = envelope.next;
-        }
+        Envelope::walk(|added_after| self.objects(collection, added_after))
     }
 
-    /// Pushes objects to a collection, returning how many were stored.
+    /// Pushes objects to a collection, returning how many the server
+    /// accepted.
     ///
     /// # Errors
     ///

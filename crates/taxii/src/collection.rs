@@ -7,13 +7,14 @@ use serde::{Deserialize, Serialize};
 /// TAXII's `added_after` filter keys on).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredObject {
-    /// When the server accepted the object.
+    /// When the server accepted the object, unique in its collection.
     pub added_at: Timestamp,
     /// The STIX object, as JSON.
     pub object: serde_json::Value,
 }
 
-/// A TAXII collection.
+/// A TAXII collection: its metadata plus an append-only log of stored
+/// objects whose stamps strictly increase in stored order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Collection {
     /// Collection identifier.
@@ -26,9 +27,9 @@ pub struct Collection {
     pub can_read: bool,
     /// Whether producers may write.
     pub can_write: bool,
-    /// The stored objects, in arrival order.
+    /// The stored objects, in arrival order; only `add_objects` appends.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub objects: Vec<StoredObject>,
+    objects: Vec<StoredObject>,
 }
 
 impl Collection {
@@ -50,37 +51,42 @@ impl Collection {
         self
     }
 
-    /// Appends objects stamped with `added_at`.
+    /// The collection's metadata without its objects, as a
+    /// `Collections` listing shows it.
+    pub(crate) fn metadata(&self) -> Collection {
+        Collection {
+            title: self.title.clone(),
+            description: self.description.clone(),
+            objects: Vec::new(),
+            ..*self
+        }
+    }
+
+    /// The stored objects, in stored order.
+    pub fn objects(&self) -> &[StoredObject] {
+        &self.objects
+    }
+
+    /// Appends objects that arrived at `added_at`. Each is stamped
+    /// `max(added_at, previous stamp + 1 ms)`, so stamps strictly
+    /// increase in stored order and an `added_after` watermark names
+    /// exactly one stored object.
     pub fn add_objects(&mut self, objects: Vec<serde_json::Value>, added_at: Timestamp) {
-        self.objects.extend(
-            objects
-                .into_iter()
-                .map(|object| StoredObject { added_at, object }),
-        );
+        for object in objects {
+            let added_at = self
+                .objects
+                .last()
+                .map_or(added_at, |last| added_at.max(last.added_at.add_millis(1)));
+            self.objects.push(StoredObject { added_at, object });
+        }
     }
 
-    /// Returns a page of objects added strictly after the watermark
-    /// (or from the start when `None`), at most `limit` objects.
-    pub fn page(&self, added_after: Option<Timestamp>, limit: usize) -> Envelope {
-        self.page_filtered(added_after, limit, None)
-    }
-
-    /// [`Collection::page`] restricted to objects whose `type` property
-    /// equals `object_type` (TAXII's `match[type]` filter).
-    pub fn page_filtered(
-        &self,
-        added_after: Option<Timestamp>,
-        limit: usize,
-        object_type: Option<&str>,
-    ) -> Envelope {
-        self.page_matching(added_after, limit, object_type, None)
-    }
-
-    /// [`Collection::page_filtered`] further restricted to objects
-    /// matching a typed [`cais_search::Query`] (the request's `match`
-    /// expression), evaluated structurally over the serialized STIX
-    /// objects. Paging watermarks are computed over the *matching*
-    /// subsequence, so a filtered walk visits every match exactly once.
+    /// A page of at most `limit` objects stamped after the watermark (or
+    /// from the start when `None`) whose `type` equals `object_type`
+    /// (TAXII's `match[type]`) and that match a typed
+    /// [`cais_search::Query`] (the request's `match` expression). Paging
+    /// watermarks are computed over the *matching* subsequence, so a
+    /// filtered walk visits every match exactly once.
     pub fn page_matching(
         &self,
         added_after: Option<Timestamp>,
@@ -88,10 +94,12 @@ impl Collection {
         object_type: Option<&str>,
         query: Option<&cais_search::Query>,
     ) -> Envelope {
-        let mut matching = self
-            .objects
+        // Stamps strictly increase, so the page starts by binary search.
+        let start = added_after.map_or(0, |after| {
+            self.objects.partition_point(|o| o.added_at <= after)
+        });
+        let mut matching = self.objects[start..]
             .iter()
-            .filter(|o| added_after.is_none_or(|after| o.added_at > after))
             .filter(|o| {
                 object_type
                     .is_none_or(|ty| o.object.get("type").and_then(|v| v.as_str()) == Some(ty))
@@ -126,6 +134,26 @@ pub struct Envelope {
     pub next: Option<Timestamp>,
 }
 
+impl Envelope {
+    /// Walks a collection from the start: fetches each page with
+    /// `fetch(added_after)`, follows `next` watermarks, and returns every
+    /// object in page order.
+    pub(crate) fn walk(
+        mut fetch: impl FnMut(Option<Timestamp>) -> std::io::Result<Envelope>,
+    ) -> std::io::Result<Vec<serde_json::Value>> {
+        let mut objects = Vec::new();
+        let mut added_after = None;
+        loop {
+            let page = fetch(added_after)?;
+            objects.extend(page.objects);
+            if !page.more {
+                return Ok(objects);
+            }
+            added_after = page.next;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,31 +163,20 @@ mod tests {
     }
 
     #[test]
-    fn paging_walks_the_collection() {
+    fn stamps_strictly_increase_within_and_across_pushes() {
         let mut collection = Collection::new("test", "d");
-        for i in 0..5 {
-            collection.add_objects(vec![obj(i)], Timestamp::from_unix_secs(i as i64));
-        }
-        let first = collection.page(None, 2);
-        assert_eq!(first.objects.len(), 2);
-        assert!(first.more);
-        let second = collection.page(first.next, 2);
-        assert_eq!(second.objects.len(), 2);
-        assert!(second.more);
-        let third = collection.page(second.next, 2);
-        assert_eq!(third.objects.len(), 1);
-        assert!(!third.more);
-        assert_eq!(third.next, None);
-    }
-
-    #[test]
-    fn added_after_is_strict() {
-        let mut collection = Collection::new("test", "d");
-        collection.add_objects(vec![obj(1)], Timestamp::from_unix_secs(10));
-        let page = collection.page(Some(Timestamp::from_unix_secs(10)), 10);
-        assert!(page.objects.is_empty());
-        let page = collection.page(Some(Timestamp::from_unix_secs(9)), 10);
-        assert_eq!(page.objects.len(), 1);
+        let at = Timestamp::from_unix_millis(100);
+        collection.add_objects(vec![obj(0), obj(1), obj(2)], at);
+        // An arrival time behind the last stamp is moved past it.
+        collection.add_objects(vec![obj(3)], Timestamp::from_unix_millis(101));
+        // One ahead of it is kept.
+        collection.add_objects(vec![obj(4)], Timestamp::from_unix_millis(200));
+        let stamps: Vec<i64> = collection
+            .objects()
+            .iter()
+            .map(|o| o.added_at.unix_millis())
+            .collect();
+        assert_eq!(stamps, [100, 101, 102, 103, 200]);
     }
 
     #[test]

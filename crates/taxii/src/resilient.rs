@@ -226,22 +226,12 @@ impl ResilientTaxiiClient {
         collection: &Uuid,
         sleeper: &impl Sleeper,
     ) -> io::Result<Vec<serde_json::Value>> {
-        let mut out = Vec::new();
-        let mut watermark = None;
-        loop {
-            let envelope = self.objects(collection, watermark, sleeper)?;
-            out.extend(envelope.objects);
-            if !envelope.more {
-                return Ok(out);
-            }
-            watermark = envelope.next;
-        }
+        Envelope::walk(|added_after| self.objects(collection, added_after, sleeper))
     }
 
-    /// Pushes objects to a collection, returning how many were stored.
-    /// Retried delivery can duplicate objects server-side — route
-    /// pushes that must be exactly-once through the MISP resilient
-    /// sync instead.
+    /// Pushes objects to a collection, returning how many the server
+    /// accepted. A retried push never stores an `(id, modified)` version
+    /// twice; objects lacking either property can be stored twice.
     ///
     /// # Errors
     ///

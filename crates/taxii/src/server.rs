@@ -3,16 +3,16 @@
 //!
 //! Pull-heavy federations re-request the same pages over and over; the
 //! server therefore keeps a bounded byte cache of serialized
-//! `GetObjects` responses, keyed by the collection's write-version, so
-//! repeated pulls of an unchanged collection replay stored bytes
-//! instead of re-filtering and re-serializing the page (see DESIGN.md
-//! §12).
+//! `GetObjects` responses, keyed by the collection's length (its log is
+//! append-only, so the length is its version), so repeated pulls of an
+//! unchanged collection replay stored bytes instead of re-filtering and
+//! re-serializing the page (see DESIGN.md §12).
 //!
 //! Producers re-push whole exports, so most of a push is usually
 //! versions the collection already holds. `AddObjects` stores a STIX
 //! object only when its exact `(id, modified)` pair is new to the
-//! collection; a re-sent copy changes nothing, not even the version
-//! the page cache is keyed on.
+//! collection; a re-sent copy changes nothing, not even the length the
+//! page cache is keyed on.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -37,7 +37,7 @@ const MAX_PAGE: usize = 1_000;
 
 /// Maximum number of cached page responses; the cache is cleared
 /// wholesale when full. Writes evict their collection's pages, so every
-/// entry is a page of a current collection version.
+/// entry is a page of a collection's current length.
 const PAGE_CACHE_CAP: usize = 512;
 
 #[derive(Debug, Default)]
@@ -46,8 +46,53 @@ struct State {
 }
 
 impl State {
-    fn slot(&self, id: Uuid) -> Option<&Slot> {
-        self.slots.iter().find(|s| s.collection.id == id)
+    /// The index of collection `id`'s slot, or the error response naming
+    /// the missing collection.
+    fn position(&self, id: Uuid) -> Result<usize, Response> {
+        self.slots
+            .iter()
+            .position(|s| s.collection.id == id)
+            .ok_or_else(|| Response::Error {
+                message: format!("no such collection {id}"),
+            })
+    }
+
+    /// The one `GetObjects` body: parses `match`, finds the collection,
+    /// checks that it is readable and clamps `limit`. Returns the page's
+    /// cache key and the page build, to run under the same read guard.
+    fn page_request(
+        &self,
+        collection: Uuid,
+        added_after: Option<Timestamp>,
+        object_type: Option<String>,
+        match_expr: Option<String>,
+        limit: usize,
+    ) -> Result<(PageKey, impl FnOnce() -> Envelope + '_), Response> {
+        let query = match_expr
+            .as_deref()
+            .map(cais_search::Query::parse)
+            .transpose()
+            .map_err(|err| Response::Error {
+                message: format!("malformed match expression: {err}"),
+            })?;
+        let found = &self.slots[self.position(collection)?].collection;
+        if !found.can_read {
+            return Err(Response::Error {
+                message: "collection is not readable".into(),
+            });
+        }
+        let limit = limit.clamp(1, MAX_PAGE);
+        let key = PageKey {
+            collection,
+            len: found.objects().len(),
+            added_after,
+            object_type: object_type.clone(),
+            match_expr,
+            limit,
+        };
+        let page =
+            move || found.page_matching(added_after, limit, object_type.as_deref(), query.as_ref());
+        Ok((key, page))
     }
 }
 
@@ -55,10 +100,6 @@ impl State {
 #[derive(Debug)]
 struct Slot {
     collection: Collection,
-    /// Write version: bumped whenever `AddObjects` stores something
-    /// new, so cached pages of older versions can never be served for
-    /// newer content.
-    version: u64,
     /// The `(id, modified)` pair of every stored object that has both.
     held: HashSet<(String, String)>,
 }
@@ -66,15 +107,11 @@ struct Slot {
 impl Slot {
     fn new(collection: Collection) -> Slot {
         let held = collection
-            .objects
+            .objects()
             .iter()
             .filter_map(|o| version_key(&o.object))
             .collect();
-        Slot {
-            collection,
-            version: 0,
-            held,
-        }
+        Slot { collection, held }
     }
 
     /// Appends the objects whose `(id, modified)` version is not held
@@ -105,7 +142,9 @@ fn version_key(object: &serde_json::Value) -> Option<(String, String)> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PageKey {
     collection: Uuid,
-    version: u64,
+    /// The collection's length. Its log is append-only, so a page of
+    /// a shorter collection can never be served for a longer one.
+    len: usize,
     added_after: Option<Timestamp>,
     object_type: Option<String>,
     /// The raw `match` expression string. Keyed on the text, not the
@@ -216,10 +255,7 @@ impl TaxiiServer {
                     .read()
                     .slots
                     .iter()
-                    .map(|s| Collection {
-                        objects: Vec::new(),
-                        ..s.collection.clone()
-                    })
+                    .map(|s| s.collection.metadata())
                     .collect();
                 Response::Collections { collections }
             }
@@ -230,42 +266,27 @@ impl TaxiiServer {
                 match_expr,
                 limit,
             } => {
-                let query = match parse_match(match_expr.as_deref()) {
-                    Ok(query) => query,
+                let state = self.state.read();
+                let (_, page) = match state.page_request(
+                    collection,
+                    added_after,
+                    object_type,
+                    match_expr,
+                    limit,
+                ) {
+                    Ok(request) => request,
                     Err(response) => return response,
                 };
-                let state = self.state.read();
-                let Some(found) = state.slot(collection).map(|s| &s.collection) else {
-                    return Response::Error {
-                        message: format!("no such collection {collection}"),
-                    };
-                };
-                if !found.can_read {
-                    return Response::Error {
-                        message: "collection is not readable".into(),
-                    };
-                }
-                let envelope: Envelope = found.page_matching(
-                    added_after,
-                    limit.clamp(1, MAX_PAGE),
-                    object_type.as_deref(),
-                    query.as_ref(),
-                );
-                Response::Objects { envelope }
+                Response::Objects { envelope: page() }
             }
             Request::AddObjects {
                 collection,
                 objects,
             } => {
                 let mut state = self.state.write();
-                let Some(slot) = state
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.collection.id == collection)
-                else {
-                    return Response::Error {
-                        message: format!("no such collection {collection}"),
-                    };
+                let slot = match state.position(collection) {
+                    Ok(index) => &mut state.slots[index],
+                    Err(response) => return response,
                 };
                 if !slot.collection.can_write {
                     return Response::Error {
@@ -274,10 +295,9 @@ impl TaxiiServer {
                 }
                 let accepted = objects.len();
                 if slot.add_new_versions(objects, Timestamp::now()) > 0 {
-                    slot.version += 1;
-                    // Pages keyed by older versions can never be served
+                    // Pages keyed by shorter lengths can never be served
                     // again. Evicting them under the write guard means no
-                    // reader can observe the new version with them cached.
+                    // reader can observe the new length with them cached.
                     self.cache
                         .entries
                         .lock()
@@ -289,9 +309,9 @@ impl TaxiiServer {
     }
 
     /// The serialized response for one `GetObjects` request, served
-    /// from the page cache when the collection's version still matches.
-    /// Error responses (unknown collection, unreadable collection) are
-    /// never cached.
+    /// from the page cache when the collection's length still matches.
+    /// Error responses (unknown collection, unreadable collection,
+    /// malformed `match`) are never cached.
     fn get_objects_bytes(
         &self,
         collection: Uuid,
@@ -301,40 +321,17 @@ impl TaxiiServer {
         limit: usize,
         wire: Option<TraceContext>,
     ) -> io::Result<Arc<Vec<u8>>> {
-        let limit = limit.clamp(1, MAX_PAGE);
-        // Malformed match expressions answer uncached, like the other
-        // error responses.
-        let query = match parse_match(match_expr.as_deref()) {
-            Ok(query) => query,
-            Err(response) => return encode(&response).map(Arc::new),
-        };
         let tracer = self.trace_handle();
-        // Version lookup, cache probe, and (on a miss) envelope build
+        // Length lookup, cache probe, and (on a miss) envelope build
         // all happen under one read guard so a concurrent AddObjects
-        // cannot slip a newer page under an older version key.
-        let response = {
+        // cannot slip a newer page under an older length key.
+        let (key, parent, response) = {
             let state = self.state.read();
-            let Some(slot) = state.slot(collection) else {
-                return encode(&Response::Error {
-                    message: format!("no such collection {collection}"),
-                })
-                .map(Arc::new);
-            };
-            let found = &slot.collection;
-            if !found.can_read {
-                return encode(&Response::Error {
-                    message: "collection is not readable".into(),
-                })
-                .map(Arc::new);
-            }
-            let key = PageKey {
-                collection,
-                version: slot.version,
-                added_after,
-                object_type: object_type.clone(),
-                match_expr,
-                limit,
-            };
+            let (key, page) =
+                match state.page_request(collection, added_after, object_type, match_expr, limit) {
+                    Ok(request) => request,
+                    Err(response) => return encode(&response).map(Arc::new),
+                };
             if let Some(bytes) = self.cache.entries.lock().get(&key) {
                 self.cache.hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(metrics) = self.cache.metrics.read().as_ref() {
@@ -346,8 +343,7 @@ impl TaxiiServer {
                 }
                 return Ok(bytes.clone());
             }
-            let envelope =
-                found.page_matching(added_after, limit, object_type.as_deref(), query.as_ref());
+            let envelope = page();
             // Chain onto the ingress trace of the first served event
             // (linked under its UUID by the store/share seam); fall
             // back to the request's wire context.
@@ -364,7 +360,6 @@ impl TaxiiServer {
                 .or(wire);
             (key, parent, Response::Objects { envelope })
         };
-        let (key, parent, response) = response;
         let mut span = tracer
             .as_ref()
             .map(|t| t.child_of(parent, "taxii", "taxii_get_objects"));
@@ -379,13 +374,13 @@ impl TaxiiServer {
         if let Some(metrics) = self.cache.metrics.read().as_ref() {
             metrics.misses.inc();
         }
-        // Cache the page only while its version is still current: a write
+        // Cache the page only while its length is still current: a write
         // that landed during the encode has already evicted this
         // collection's pages, and this one would be dead on arrival.
         let state = self.state.read();
         if state
-            .slot(collection)
-            .is_some_and(|s| s.version == key.version)
+            .position(collection)
+            .is_ok_and(|index| state.slots[index].collection.objects().len() == key.len)
         {
             let mut entries = self.cache.entries.lock();
             if entries.len() >= PAGE_CACHE_CAP {
@@ -603,20 +598,6 @@ fn encode(response: &Response) -> io::Result<Vec<u8>> {
     serde_json::to_vec(response).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Parses a request's optional `match` expression; malformed input
-/// becomes the error response to return instead of a page.
-fn parse_match(expr: Option<&str>) -> Result<Option<cais_search::Query>, Response> {
-    match expr {
-        None => Ok(None),
-        Some(text) => match cais_search::Query::parse(text) {
-            Ok(query) => Ok(Some(query)),
-            Err(err) => Err(Response::Error {
-                message: format!("malformed match expression: {err}"),
-            }),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +618,7 @@ mod tests {
         match server.handle(Request::Collections) {
             Response::Collections { collections } => {
                 assert_eq!(collections.len(), 1);
-                assert!(collections[0].objects.is_empty()); // omitted
+                assert!(collections[0].objects().is_empty()); // omitted
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -722,7 +703,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(server.page_cache_stats(), (1, 1));
 
-        // A write bumps the collection version: fresh bytes.
+        // A write lengthens the collection: fresh bytes.
         server.handle(Request::AddObjects {
             collection: id,
             objects: vec![serde_json::json!({ "i": 99 })],
@@ -787,9 +768,9 @@ mod tests {
         let query = cais_search::Query::parse(expr).unwrap();
         let reference = {
             let state = server.state.read();
-            let found = &state.slot(id).unwrap().collection;
+            let found = &state.slots[state.position(id).unwrap()].collection;
             let objects: Vec<serde_json::Value> = found
-                .objects
+                .objects()
                 .iter()
                 .filter(|o| cais_search::stix_matches(&query, &o.object))
                 .map(|o| o.object.clone())
@@ -852,22 +833,37 @@ mod tests {
         })
     }
 
-    /// Every object of the collection, one page.
-    fn all(server: &TaxiiServer, id: Uuid) -> Vec<serde_json::Value> {
-        match server.handle(Request::GetObjects {
-            collection: id,
-            added_after: None,
-            object_type: None,
-            match_expr: None,
-            limit: MAX_PAGE,
-        }) {
-            Response::Objects { envelope } => envelope.objects,
-            other => panic!("unexpected {other:?}"),
-        }
+    /// Every object of the collection, walked `limit` at a time by
+    /// `next` watermarks.
+    fn walk(server: &TaxiiServer, id: Uuid, limit: usize) -> Vec<serde_json::Value> {
+        Envelope::walk(|added_after| {
+            match server.handle(Request::GetObjects {
+                collection: id,
+                added_after,
+                object_type: None,
+                match_expr: None,
+                limit,
+            }) {
+                Response::Objects { envelope } => Ok(envelope),
+                other => panic!("unexpected {other:?}"),
+            }
+        })
+        .unwrap()
     }
 
-    fn version(server: &TaxiiServer, id: Uuid) -> u64 {
-        server.state.read().slot(id).unwrap().version
+    /// Every object of the collection.
+    fn all(server: &TaxiiServer, id: Uuid) -> Vec<serde_json::Value> {
+        walk(server, id, MAX_PAGE)
+    }
+
+    /// One push of five objects, all with the same arrival millisecond,
+    /// walked two at a time, comes back whole and in order.
+    #[test]
+    fn a_walk_across_one_push_returns_every_object() {
+        let (server, id) = server_with_collection();
+        let objects: Vec<_> = (0..5).map(|i| serde_json::json!({ "i": i })).collect();
+        push(&server, id, objects.clone());
+        assert_eq!(walk(&server, id, 2), objects);
     }
 
     #[test]
@@ -884,14 +880,14 @@ mod tests {
         let page = server
             .get_objects_bytes(id, None, None, None, 10, None)
             .unwrap();
-        let before = version(&server, id);
+        let before = all(&server, id).len();
 
         assert_eq!(
             push(&server, id, objects.clone()),
             Response::Accepted { stored: 2 }
         );
         assert_eq!(all(&server, id), objects);
-        assert_eq!(version(&server, id), before);
+        assert_eq!(all(&server, id).len(), before);
         let again = server
             .get_objects_bytes(id, None, None, None, 10, None)
             .unwrap();
@@ -907,7 +903,7 @@ mod tests {
             id,
             vec![stix("indicator--a", "2024-01-01T00:00:00Z", "a")],
         );
-        let before = version(&server, id);
+        let before = all(&server, id).len();
         let response = push(
             &server,
             id,
@@ -919,7 +915,7 @@ mod tests {
         assert_eq!(response, Response::Accepted { stored: 2 });
         let names: Vec<_> = all(&server, id).iter().map(|o| o["name"].clone()).collect();
         assert_eq!(names, ["a", "a2"]);
-        assert_eq!(version(&server, id), before + 1);
+        assert_eq!(all(&server, id).len(), before + 1);
     }
 
     #[test]
@@ -976,7 +972,7 @@ mod tests {
         let id = server.add_collection(collection);
         push(&server, id, vec![object.clone()]);
         assert_eq!(all(&server, id), [object]);
-        assert_eq!(version(&server, id), 0);
+        assert_eq!(all(&server, id).len(), 1);
     }
 
     #[test]

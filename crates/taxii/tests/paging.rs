@@ -1,8 +1,10 @@
-//! Property test: [`Collection::page_matching`], which stops scanning one
-//! match past the page, builds exactly the envelope of the collect-all
-//! form it replaced, kept here as the oracle. Collections, watermarks,
-//! limits, type filters and `match` queries are random; arrival times
-//! repeat, as they do for objects of one push.
+//! Property tests: [`Collection::page_matching`], which starts by binary
+//! search and stops scanning one match past the page, builds exactly the
+//! envelope of the collect-all form it replaced, kept here as the oracle;
+//! and a full walk that follows `next` watermarks returns every matching
+//! object exactly once, in stored order. Collections, watermarks, limits,
+//! type filters and `match` queries are random. Arrival times passed in
+//! repeat, as they do for objects of one push; stored stamps do not.
 
 use cais_common::Timestamp;
 use cais_search::Query;
@@ -19,7 +21,7 @@ fn oracle(
     query: Option<&Query>,
 ) -> Envelope {
     let matching: Vec<_> = collection
-        .objects
+        .objects()
         .iter()
         .filter(|o| added_after.is_none_or(|after| o.added_at > after))
         .filter(|o| {
@@ -112,6 +114,42 @@ proptest! {
         prop_assert_eq!(
             collection.page_matching(added_after, limit, object_type, query.as_ref()),
             oracle(&collection, added_after, limit, object_type, query.as_ref())
+        );
+    }
+}
+
+/// Walks the collection from the start, following `next` watermarks,
+/// and returns every object the pages held, in page order.
+fn walk(
+    collection: &Collection,
+    limit: usize,
+    object_type: Option<&str>,
+    query: Option<&Query>,
+) -> Vec<serde_json::Value> {
+    let mut walked = Vec::new();
+    let mut added_after = None;
+    loop {
+        let page = collection.page_matching(added_after, limit, object_type, query);
+        walked.extend(page.objects);
+        if !page.more {
+            return walked;
+        }
+        added_after = page.next;
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_walk_returns_every_match_once_in_stored_order(
+        (collection, _, limit, object_type, match_expr) in Case
+    ) {
+        let query = match_expr.map(|e| Query::parse(e).expect("pool expression parses"));
+        // The server clamps `limit` to at least 1; a page of 0 objects
+        // has no watermark to walk on.
+        let limit = limit.max(1);
+        prop_assert_eq!(
+            walk(&collection, limit, object_type, query.as_ref()),
+            oracle(&collection, None, usize::MAX, object_type, query.as_ref()).objects
         );
     }
 }
