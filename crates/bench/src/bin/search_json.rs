@@ -48,7 +48,8 @@ const DEFAULT_QUERIES: usize = 4_000;
 
 /// The timed query pool: analyst-lookup shapes spanning every indexed
 /// axis (type, tag, org, value token, published flag, score and date
-/// ranges, AND/OR/NOT). Each is selective — a value token or a tight
+/// ranges, AND/OR/NOT, and substrings: one needle that hits and one
+/// whose trigrams all occur but never together). Each is selective — a value token or a tight
 /// range keeps hits in the hundreds-to-low-thousands, the shape of a
 /// real pivot query — because the timer covers result materialization
 /// too, and a query that drags 25% of a 200k-event store back is a
@@ -63,6 +64,8 @@ const TIMED_QUERIES: &[&str] = &[
     "score >= 4.9",
     "(org:circl OR org:partner-isac) AND score >= 3.0 AND type:domain AND value:7",
     "date >= {date} AND type:url AND value:11",
+    "contains:-1234",
+    "contains:host-999999",
 ];
 
 /// The `(id, version)` pairs the linear-scan oracle returns for a

@@ -1,11 +1,13 @@
 //! The lifecycle engine: incremental rescoring and expiry sweeps.
 //!
-//! [`DecayEngine`] keeps a dense per-indicator entry `{base, anchor}`
-//! and follows the store's change feed ([`MispStore::changes`]): a
-//! rescore pass asks the store which events moved since the last pass,
-//! re-derives the taxonomy base only for those, then decays every
-//! tracked indicator in one linear walk — no store lock, no hashmap
-//! probe, no tag parsing for the unchanged majority. The
+//! [`DecayEngine`] keeps a dense per-indicator entry `{base, anchor,
+//! marked_expired}` and follows the store's change feed
+//! ([`MispStore::changes`]): a pass asks the store which events moved
+//! since the last pass, re-derives the taxonomy base and the cached
+//! expiry tag only for those, then decays every tracked indicator in
+//! one linear walk — no store lock, no hashmap probe, no tag parsing
+//! for the unchanged majority. A sweep compares each fresh expiry with
+//! the cached tag and touches the store only for the flips. The
 //! from-scratch path ([`DecayEngine::score_from_scratch`]) re-derives
 //! every base and serves both as the benchmark baseline and as the
 //! property-test oracle: for any interleaving of sightings, churn and
@@ -94,6 +96,12 @@ struct Entry {
     /// and rebase both rewrite it — so the score pass never touches
     /// the ledger.
     anchor: Timestamp,
+    /// Whether the event carried `cais:decay-state="expired"` when it
+    /// was last rebased. Every tag write bumps the event's version and
+    /// so reaches the next pass through the change feed, which rebases
+    /// the entry; after a pass's sync the bit is therefore the store's,
+    /// and a sweep compares scores against it without a store lock.
+    marked_expired: bool,
 }
 
 #[derive(Default)]
@@ -249,6 +257,7 @@ impl DecayEngine {
                 uuid: event.uuid,
                 base: self.scorer.base_score(&event),
                 anchor: DecayEngine::anchor(&state.ledger, &event),
+                marked_expired: is_marked_expired(&event),
             };
             rebased += 1;
             if let Some(&idx) = state.by_id.get(&id) {
@@ -270,11 +279,10 @@ impl DecayEngine {
         rebased
     }
 
-    /// Incremental rescore: follows the store's change feed to re-derive
-    /// bases only for events whose version moved since the previous
-    /// pass, then scores every tracked indicator in one dense walk.
-    /// Results come back in store-id order.
-    pub fn rescore(&self, store: &MispStore) -> (Vec<RescoredEvent>, RescoreSummary) {
+    /// One incremental pass: syncs the entries with the store's change
+    /// feed, then decays every entry in one dense walk under the engine
+    /// lock, handing each to `visit` with its score and expiry.
+    fn pass(&self, store: &MispStore, mut visit: impl FnMut(&Entry, f64, bool)) -> RescoreSummary {
         let now = self.clock.now();
         let mut state = self.state.lock();
         let mut summary = RescoreSummary {
@@ -283,21 +291,13 @@ impl DecayEngine {
         };
         summary.scored = state.entries.len();
         summary.reused = summary.scored.saturating_sub(summary.rebased);
-
-        let mut out = Vec::with_capacity(state.entries.len());
         for entry in &state.entries {
             let score = self.decayed(entry.base, entry.anchor, now);
             let expired = self.model.is_expired(score);
             if expired {
                 summary.expired += 1;
             }
-            out.push(RescoredEvent {
-                event_id: entry.event_id,
-                uuid: entry.uuid,
-                base: entry.base,
-                score,
-                expired,
-            });
+            visit(entry, score, expired);
         }
         drop(state);
 
@@ -308,6 +308,25 @@ impl DecayEngine {
             m.tracked.set(summary.scored as i64);
             m.expired_now.set(summary.expired as i64);
         }
+        summary
+    }
+
+    /// Incremental rescore: follows the store's change feed to re-derive
+    /// bases only for events whose version moved since the previous
+    /// pass, then scores every tracked indicator in one dense walk.
+    /// Results come back in store-id order.
+    pub fn rescore(&self, store: &MispStore) -> (Vec<RescoredEvent>, RescoreSummary) {
+        // A capacity hint: the pass may append a few arrivals.
+        let mut out = Vec::with_capacity(self.state.lock().entries.len());
+        let summary = self.pass(store, |entry, score, expired| {
+            out.push(RescoredEvent {
+                event_id: entry.event_id,
+                uuid: entry.uuid,
+                base: entry.base,
+                score,
+                expired,
+            });
+        });
         (out, summary)
     }
 
@@ -334,40 +353,36 @@ impl DecayEngine {
         out
     }
 
-    /// One expiry sweep: rescore, then persist state flips back into
-    /// the store. Newly expired events get
+    /// One expiry sweep: an incremental pass, then persist state flips
+    /// back into the store. Newly expired events get
     /// `cais:decay-state="expired"` + `cais:decay-score` tags and are
     /// unpublished — the store's version bump makes every downstream
     /// byte cache (share exporter, TAXII pages) drop the stale copy.
     /// Previously expired events whose score recovered (a sighting
     /// reset their clock) are re-tagged `active` and republished.
-    /// Untouched events are not written at all, so sweep cost tracks
-    /// the number of *flips*, not the store size.
+    /// A flip is a fresh expiry that differs from the entry's cached
+    /// expiry bit, so the walk reads no event and takes no store lock;
+    /// only the flips are written, and sweep cost tracks the number of
+    /// *flips* beyond the sync and the one dense walk.
     pub fn sweep(&self, store: &MispStore) -> Result<SweepSummary, MispError> {
         let mut span = self
             .tracer
             .lock()
             .as_ref()
             .map(|t| t.root("decay", "decay_sweep"));
-        let (scores, rescore) = self.rescore(store);
+        let mut flips = Vec::new();
+        let rescore = self.pass(store, |entry, score, expired| {
+            if expired != entry.marked_expired {
+                flips.push((entry.event_id, score, expired));
+            }
+        });
         let mut summary = SweepSummary {
             rescore,
             ..SweepSummary::default()
         };
 
-        for rescored in &scores {
-            let marked_expired = store
-                .with_event(rescored.event_id, is_marked_expired)
-                .unwrap_or(false);
-            let flip = match (rescored.expired, marked_expired) {
-                (true, false) => Some(true),
-                (false, true) => Some(false),
-                _ => None,
-            };
-            let Some(to_expired) = flip else { continue };
-
-            let score = rescored.score;
-            store.update(rescored.event_id, move |event| {
+        for (event_id, score, to_expired) in flips {
+            store.update(event_id, move |event| {
                 event.tags.retain(|tag| {
                     !(tag.namespace() == Some(DECAY_TAG_NAMESPACE)
                         && matches!(

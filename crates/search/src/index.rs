@@ -18,10 +18,16 @@
 //!   per churned event and O(posting) loops per query. A [`Query`]
 //!   term is one postings lookup materialized to a [`SlotBitset`];
 //!   `AND`/`OR`/`NOT` become bitset intersection/union/subtraction.
+//! - Every lowercased byte trigram of every attribute value is
+//!   interned under a packed `u32` key and posts in the same postings,
+//!   so `contains:` intersects its needle's trigram postings and checks
+//!   only the surviving candidates exactly, instead of scanning every
+//!   value.
 //! - Timestamps and decayed scores live in dense columns plus sorted
-//!   `(value, slot)` permutations (re-sorted lazily, only on syncs
-//!   that moved a date or score), so a range predicate is one binary
-//!   search plus O(matches) bit sets, never a full column walk.
+//!   `(value, slot)` permutations, so a range predicate is one binary
+//!   search plus O(matches) bit sets, never a full column walk. A sync
+//!   that moved a few dates or scores merges just those slots back
+//!   into the permutations.
 //!
 //! Incrementality rides the store's change feed exactly like the decay
 //! engine's rescorer: [`SearchIndex::sync`] keeps the cursor of its
@@ -32,7 +38,9 @@
 //! sync, or a cursor from another store) clears the index and the same
 //! loop rebuilds it from every event.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,31 +50,68 @@ use cais_misp::MispEvent;
 use cais_telemetry::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::query::{decayed_score, normalize, sub_tokens, Cmp, Field, ParseError, Query};
+use crate::query::{
+    contains_ignore_ascii_case, decayed_score, sub_tokens, Cmp, Field, ParseError, Query,
+};
 
-/// Token-key prefixes, one byte each, joined to the token text with a
+/// Writes one token key into `buf` and returns it: a one-byte field
+/// prefix (`t` type, `g` tag, `o` org, `c` category, `v` value), a
 /// `\u{1}` separator so token namespaces can never collide with value
-/// text.
-const SEP: char = '\u{1}';
-
-fn type_key(attr_type: &str) -> String {
-    format!("t{SEP}{attr_type}")
+/// text, then the text, ASCII-lowercased when `lowercase` is set.
+/// Building every key of an event in one reused buffer keeps
+/// tokenizing allocation-free for tokens already interned.
+fn write_key<'a>(buf: &'a mut String, prefix: char, text: &str, lowercase: bool) -> &'a str {
+    buf.clear();
+    buf.push(prefix);
+    buf.push('\u{1}');
+    let start = buf.len();
+    buf.push_str(text);
+    if lowercase {
+        buf[start..].make_ascii_lowercase();
+    }
+    buf
 }
 
-fn tag_key(name: &str) -> String {
-    format!("g{SEP}{name}")
+/// A lowercased byte trigram packed into the low 24 bits of a `u32`.
+fn trigram(window: &[u8]) -> u32 {
+    window
+        .iter()
+        .fold(0, |key, &b| key << 8 | u32::from(b.to_ascii_lowercase()))
 }
 
-fn org_key(org: &str) -> String {
-    format!("o{SEP}{}", org.to_ascii_lowercase())
+/// The distinct trigrams of an event's attribute values, sorted, into
+/// `out`. Trigrams are taken per value, never across two, because a
+/// substring match never spans values either.
+fn event_trigrams(event: &MispEvent, out: &mut Vec<u32>) {
+    out.clear();
+    for attr in &event.attributes {
+        out.extend(attr.value.as_bytes().windows(3).map(trigram));
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
-fn category_key(name: &str) -> String {
-    format!("c{SEP}{}", name.to_ascii_lowercase())
-}
+/// Hashes a packed trigram with one multiply, folding the well-mixed
+/// high half of the product into the low bits the table indexes by.
+/// SipHash would cost more than the rest of a trigram lookup.
+#[derive(Default)]
+struct TrigramHasher(u64);
 
-fn value_key(token: &str) -> String {
-    format!("v{SEP}{token}")
+impl Hasher for TrigramHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(self.0 as u32 ^ u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let product = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
 }
 
 /// Sparse→dense flip point for a posting. Below it a sorted id vector
@@ -141,6 +186,29 @@ impl Posting {
             Posting::Dense(bits) => bits.clone(),
         }
     }
+
+    /// A sparse posting's length; dense postings, which were all once
+    /// longer than any sparse one, sort last.
+    fn sparse_len(&self) -> usize {
+        match self {
+            Posting::Sparse(ids) => ids.len(),
+            Posting::Dense(_) => usize::MAX,
+        }
+    }
+
+    /// `bits &= self`, without materializing a sparse posting.
+    fn intersect_into(&self, bits: &mut SlotBitset) {
+        match self {
+            Posting::Sparse(ids) => {
+                let mut kept = SlotBitset::new();
+                for &id in ids.iter().filter(|&&id| bits.contains(id)) {
+                    kept.set(id);
+                }
+                *bits = kept;
+            }
+            Posting::Dense(dense) => bits.intersect_with(dense),
+        }
+    }
 }
 
 /// One indexed event.
@@ -151,7 +219,9 @@ struct Slot {
     event: Arc<MispEvent>,
     /// Interned token ids this event currently posts under, sorted and
     /// deduplicated — the reverse mapping that makes re-tokenizing an
-    /// updated event O(its own tokens) instead of O(index).
+    /// updated event O(its own tokens) instead of O(index). Trigrams
+    /// are not kept here: an event's old trigrams are recomputed from
+    /// `event` when it is re-indexed.
     tokens: Vec<u32>,
 }
 
@@ -164,7 +234,9 @@ struct IndexState {
     by_id: HashMap<u64, u32>,
     /// Token text → interned id; postings are indexed by that id.
     tokens: HashMap<String, u32>,
-    /// Interned token id → that token's slot set.
+    /// Packed value trigram → interned id in the same id space.
+    trigrams: HashMap<u32, u32, BuildHasherDefault<TrigramHasher>>,
+    /// Interned token or trigram id → that key's slot set.
     postings: Vec<Posting>,
     /// Dense column of event dates, slot-indexed.
     dates: Vec<Timestamp>,
@@ -178,9 +250,9 @@ struct IndexState {
     /// NaN never satisfies any comparison, so dropping it here is
     /// exactly the linear oracle's behaviour.
     scores_sorted: Vec<(f64, u32)>,
-    /// Set when a sync moved any date or score; the sorted
-    /// permutations are rebuilt once at the end of that sync.
-    ranges_dirty: bool,
+    /// Slots whose date or score moved since the permutations were
+    /// last brought up to date, at the end of the previous sync.
+    moved: SlotBitset,
     published: SlotBitset,
     universe: SlotBitset,
 }
@@ -392,66 +464,126 @@ impl SearchIndex {
     }
 
     /// The tokens one event body posts under, sorted and deduplicated
-    /// by interned id.
+    /// by interned id. Every key is built in one buffer and looked up
+    /// as `&str`; only a token seen for the first time allocates.
     fn tokenize(state: &mut IndexState, event: &MispEvent) -> Vec<u32> {
-        let mut keys: Vec<String> = vec![org_key(&event.org)];
+        let IndexState {
+            tokens, postings, ..
+        } = state;
+        let mut ids = Vec::new();
+        let mut post = |key: &str| {
+            let id = match tokens.get(key) {
+                Some(&id) => id,
+                None => {
+                    let id = postings.len() as u32;
+                    tokens.insert(key.to_owned(), id);
+                    postings.push(Posting::default());
+                    id
+                }
+            };
+            ids.push(id);
+        };
+        let mut key = String::new();
+        post(write_key(&mut key, 'o', &event.org, true));
         for tag in &event.tags {
-            keys.push(tag_key(tag.name()));
+            post(write_key(&mut key, 'g', tag.name(), false));
         }
         for attr in &event.attributes {
-            keys.push(type_key(&attr.attr_type));
-            keys.push(category_key(attr.category.name()));
-            let normalized = normalize(&attr.value);
-            if !normalized.is_empty() {
-                for token in sub_tokens(&normalized) {
-                    keys.push(value_key(token));
+            post(write_key(&mut key, 't', &attr.attr_type, false));
+            post(write_key(&mut key, 'c', attr.category.name(), true));
+            // Value tokens are the trimmed, lowercased value and its
+            // alphanumeric runs, which lowercasing does not move.
+            let trimmed = attr.value.trim();
+            if !trimmed.is_empty() {
+                for token in sub_tokens(trimmed) {
+                    post(write_key(&mut key, 'v', token, true));
                 }
-                keys.push(value_key(&normalized));
+                post(write_key(&mut key, 'v', trimmed, true));
             }
         }
-        let mut ids: Vec<u32> = keys
-            .into_iter()
-            .map(|key| {
-                if let Some(&id) = state.tokens.get(&key) {
-                    return id;
-                }
-                let id = state.postings.len() as u32;
-                state.tokens.insert(key, id);
-                state.postings.push(Posting::default());
-                id
-            })
-            .collect();
         ids.sort_unstable();
         ids.dedup();
+        ids.shrink_to_fit();
         ids
     }
 
-    /// Rebuilds the sorted range permutations if this sync dirtied
-    /// them. Cheap relative to what dirtied them (one O(n log n) sort
-    /// per sync that moved a date or score, and info-only churn — the
-    /// common case — never dirties), and it keeps every query-time
-    /// range predicate at a binary search.
+    /// Moves `slot` into the postings of `event`'s value trigrams, out
+    /// of those of `old` (the body it replaces) when there is one. A
+    /// re-index that leaves every attribute value as it was — decay
+    /// flips and score writes touch only tags — costs nothing here.
+    fn post_trigrams(
+        state: &mut IndexState,
+        slot: u32,
+        old: Option<&MispEvent>,
+        event: &MispEvent,
+    ) {
+        let mut grams = Vec::new();
+        if let Some(old) = old {
+            let same_values = old.attributes.len() == event.attributes.len()
+                && old
+                    .attributes
+                    .iter()
+                    .zip(&event.attributes)
+                    .all(|(a, b)| a.value == b.value);
+            if same_values {
+                return;
+            }
+            event_trigrams(old, &mut grams);
+            for gram in &grams {
+                let id = state.trigrams[gram];
+                state.postings[id as usize].remove(slot);
+            }
+        }
+        event_trigrams(event, &mut grams);
+        let IndexState {
+            trigrams, postings, ..
+        } = state;
+        for &gram in &grams {
+            let id = *trigrams.entry(gram).or_insert_with(|| {
+                postings.push(Posting::default());
+                postings.len() as u32 - 1
+            });
+            postings[id as usize].add(slot);
+        }
+    }
+
+    /// Brings the sorted range permutations up to date with the slots
+    /// whose date or score moved in this sync. A few moved slots are
+    /// dropped in one pass and merged back as a sorted delta; past an
+    /// eighth of the slots (a rebuild, say) one full sort is cheaper.
+    /// Info-only churn, the common case, moves nothing.
     fn refresh_ranges(state: &mut IndexState) {
-        if !state.ranges_dirty {
+        let moved = std::mem::take(&mut state.moved);
+        let count = moved.count();
+        if count == 0 {
             return;
         }
-        state.dates_sorted = state
-            .dates
-            .iter()
-            .enumerate()
-            .map(|(slot, &date)| (date, slot as u32))
+        let score_entry =
+            |slot: u32, score: Option<f64>| score.filter(|s| !s.is_nan()).map(|s| (s, slot));
+        let by_score = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if count > state.slots.len() / 8 {
+            state.dates_sorted = (0..)
+                .zip(&state.dates)
+                .map(|(slot, &d)| (d, slot))
+                .collect();
+            state.dates_sorted.sort_unstable();
+            state.scores_sorted = (0..)
+                .zip(&state.scores)
+                .filter_map(|(slot, &score)| score_entry(slot, score))
+                .collect();
+            state.scores_sorted.sort_unstable_by(by_score);
+            return;
+        }
+        let dates: Vec<(Timestamp, u32)> = moved
+            .ones()
+            .map(|slot| (state.dates[slot as usize], slot))
             .collect();
-        state.dates_sorted.sort_unstable();
-        state.scores_sorted = state
-            .scores
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, score)| score.filter(|s| !s.is_nan()).map(|s| (s, slot as u32)))
+        merge_delta(&mut state.dates_sorted, &moved, dates, Ord::cmp);
+        let scores: Vec<(f64, u32)> = moved
+            .ones()
+            .filter_map(|slot| score_entry(slot, state.scores[slot as usize]))
             .collect();
-        state
-            .scores_sorted
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        state.ranges_dirty = false;
+        merge_delta(&mut state.scores_sorted, &moved, scores, by_score);
     }
 
     /// Indexes one versioned event: appends a new slot, or re-tokenizes
@@ -472,15 +604,17 @@ impl SearchIndex {
                 for &token in &tokens {
                     state.postings[token as usize].add(slot_id);
                 }
+                let old = Arc::clone(&state.slots[slot_id as usize].event);
+                Self::post_trigrams(state, slot_id, Some(&old), &versioned.event);
                 let date = versioned.event.date;
                 if state.dates[slot_id as usize] != date {
                     state.dates[slot_id as usize] = date;
-                    state.ranges_dirty = true;
+                    state.moved.set(slot_id);
                 }
                 let score = decayed_score(&versioned.event);
                 if state.scores[slot_id as usize] != score {
                     state.scores[slot_id as usize] = score;
-                    state.ranges_dirty = true;
+                    state.moved.set(slot_id);
                 }
                 if versioned.event.published {
                     state.published.set(slot_id);
@@ -509,9 +643,10 @@ impl SearchIndex {
                     // sparse adds stay a plain push.
                     state.postings[token as usize].add(slot_id);
                 }
+                Self::post_trigrams(state, slot_id, None, &versioned.event);
                 state.dates.push(versioned.event.date);
                 state.scores.push(decayed_score(&versioned.event));
-                state.ranges_dirty = true;
+                state.moved.set(slot_id);
                 if versioned.event.published {
                     state.published.set(slot_id);
                 }
@@ -528,49 +663,74 @@ impl SearchIndex {
         }
     }
 
+    /// `contains:needle`. A needle of three or more bytes can only
+    /// occur in a value holding all of its trigrams, so the postings
+    /// of those trigrams, intersected rarest first, give the candidates
+    /// (none when a trigram was never posted); each is then checked
+    /// exactly. Shorter needles have no trigram and scan every event.
+    fn eval_contains(state: &IndexState, needle: &str) -> SlotBitset {
+        let matches = |slot: u32| {
+            state.slots[slot as usize]
+                .event
+                .attributes
+                .iter()
+                .any(|a| contains_ignore_ascii_case(&a.value, needle))
+        };
+        let mut out = SlotBitset::new();
+        if needle.len() < 3 {
+            for slot in (0..state.slots.len() as u32).filter(|&slot| matches(slot)) {
+                out.set(slot);
+            }
+            return out;
+        }
+        let mut postings = Vec::new();
+        for window in needle.as_bytes().windows(3) {
+            match state.trigrams.get(&trigram(window)) {
+                Some(&id) => postings.push(&state.postings[id as usize]),
+                None => return out,
+            }
+        }
+        postings.sort_by_key(|posting| posting.sparse_len());
+        let mut candidates = postings[0].to_bitset();
+        for posting in &postings[1..] {
+            if candidates.is_empty() {
+                break;
+            }
+            posting.intersect_into(&mut candidates);
+        }
+        for slot in candidates.ones().filter(|&slot| matches(slot)) {
+            out.set(slot);
+        }
+        out
+    }
+
     /// Compiles a query to a bitset over slots, bottom-up.
     fn eval(state: &IndexState, query: &Query) -> SlotBitset {
         match query {
             Query::All => state.universe.clone(),
             Query::Term { field, value } => {
+                let mut buf = String::new();
                 let key = match field {
-                    Field::Type => type_key(value),
-                    Field::Category => category_key(value),
-                    Field::Tag => tag_key(value),
-                    Field::Org => org_key(value),
+                    Field::Type => write_key(&mut buf, 't', value, false),
+                    Field::Category => write_key(&mut buf, 'c', value, true),
+                    Field::Tag => write_key(&mut buf, 'g', value, false),
+                    Field::Org => write_key(&mut buf, 'o', value, true),
                     Field::Value => {
-                        let normalized = normalize(value);
-                        if normalized.is_empty() {
+                        let trimmed = value.trim();
+                        if trimmed.is_empty() {
                             // The reference semantics: an empty value
                             // term matches nothing.
                             return SlotBitset::new();
                         }
-                        value_key(&normalized)
+                        write_key(&mut buf, 'v', trimmed, true)
                     }
                 };
-                match state.tokens.get(&key) {
+                match state.tokens.get(key) {
                     Some(&token) => state.postings[token as usize].to_bitset(),
                     None => SlotBitset::new(),
                 }
             }
-            Query::Contains(needle) => {
-                // The one predicate postings cannot answer: scan, like
-                // the linear baseline (identical semantics by
-                // construction).
-                let needle = needle.to_ascii_lowercase();
-                let mut out = SlotBitset::new();
-                for (slot_id, slot) in state.slots.iter().enumerate() {
-                    if slot
-                        .event
-                        .attributes
-                        .iter()
-                        .any(|a| a.value.to_ascii_lowercase().contains(&needle))
-                    {
-                        out.set(slot_id as u32);
-                    }
-                }
-                out
-            }
+            Query::Contains(needle) => Self::eval_contains(state, needle),
             Query::Published(published) => {
                 if *published {
                     state.published.clone()
@@ -641,6 +801,33 @@ impl SearchIndex {
                 }
                 out
             }
+        }
+    }
+}
+
+/// Brings `sorted` up to date after the slots in `moved` changed key:
+/// drops their old entries in one pass, then merges `delta` (their new
+/// entries, in any order) in from the back, in place.
+fn merge_delta<K: Copy>(
+    sorted: &mut Vec<(K, u32)>,
+    moved: &SlotBitset,
+    mut delta: Vec<(K, u32)>,
+    cmp: impl Fn(&(K, u32), &(K, u32)) -> Ordering,
+) {
+    sorted.retain(|&(_, slot)| !moved.contains(slot));
+    delta.sort_unstable_by(&cmp);
+    let (mut kept, mut added) = (sorted.len(), delta.len());
+    sorted.extend_from_slice(&delta);
+    for at in (0..sorted.len()).rev() {
+        if added == 0 {
+            break;
+        }
+        if kept > 0 && cmp(&sorted[kept - 1], &delta[added - 1]).is_gt() {
+            kept -= 1;
+            sorted[at] = sorted[kept];
+        } else {
+            added -= 1;
+            sorted[at] = delta[added];
         }
     }
 }
@@ -778,6 +965,99 @@ mod tests {
             ids(&index.search(&Query::parse("score>=4").unwrap())),
             vec![scored_id]
         );
+    }
+
+    #[test]
+    fn contains_never_spans_two_values() {
+        let store = MispStore::new();
+        let mut two = event("two", "domain", "c2.evil.example");
+        two.add_attribute(MispAttribute::new(
+            "ip-dst",
+            AttributeCategory::NetworkActivity,
+            "203.0.113.9",
+        ));
+        let id = store.insert(two).unwrap();
+        let index = SearchIndex::new();
+        index.sync(&store);
+        assert!(index.search(&Query::Contains("ple203".into())).is_empty());
+        assert_eq!(ids(&index.search(&Query::Contains("PLE".into()))), vec![id]);
+        assert_eq!(ids(&index.search(&Query::Contains("3.9".into()))), vec![id]);
+    }
+
+    #[test]
+    fn value_edits_move_trigram_postings_and_tag_edits_keep_them() {
+        let store = MispStore::new();
+        let id = store.insert(event("a", "domain", "old.example")).unwrap();
+        let index = SearchIndex::new();
+        index.sync(&store);
+        let posted = |gram: &[u8]| {
+            let state = index.state.lock();
+            state
+                .trigrams
+                .get(&trigram(gram))
+                .map_or(0, |&p| state.postings[p as usize].to_bitset().count())
+        };
+        assert_eq!(posted(b"old"), 1);
+
+        store.update(id, |e| e.add_tag(Tag::tlp_amber())).unwrap();
+        index.sync(&store);
+        assert_eq!(posted(b"old"), 1);
+
+        store
+            .update(id, |e| e.attributes[0].value = "NEW.example".into())
+            .unwrap();
+        index.sync(&store);
+        assert_eq!(posted(b"old"), 0, "the replaced value's trigrams let go");
+        assert_eq!(posted(b"new"), 1);
+        assert_eq!(
+            ids(&index.search(&Query::Contains("w.Ex".into()))),
+            vec![id]
+        );
+    }
+
+    #[test]
+    fn merged_range_permutations_equal_a_full_sort() {
+        let store = MispStore::new();
+        for i in 0..64u64 {
+            let mut e = event(&format!("e{i}"), "domain", "evil.example");
+            e.date = Timestamp::from_unix_secs((i as i64 * 37) % 11);
+            if i % 3 != 0 {
+                e.add_tag(Tag::machine("cais", "decay-score", &format!("{}", i % 7)));
+            }
+            store.insert(e).unwrap();
+        }
+        let index = SearchIndex::new();
+        index.sync(&store);
+        // Four of 64 slots move: under an eighth, so they merge. One
+        // loses its score, one gains one, two move date and score.
+        store
+            .update(2, |e| {
+                e.tags.retain(|t| t.predicate() != Some("decay-score"))
+            })
+            .unwrap();
+        store
+            .update(4, |e| e.add_tag(Tag::machine("cais", "decay-score", "2.5")))
+            .unwrap();
+        for id in [9, 50] {
+            store
+                .update(id, |e| {
+                    e.date = Timestamp::from_unix_secs(5);
+                    e.tags = vec![Tag::machine("cais", "decay-score", "NaN")];
+                })
+                .unwrap();
+        }
+        index.sync(&store);
+        let state = index.state.lock();
+        let mut dates = state.dates_sorted.clone();
+        dates.sort_unstable();
+        assert_eq!(state.dates_sorted, dates);
+        let mut scores: Vec<(f64, u32)> = (0..)
+            .zip(&state.scores)
+            .filter_map(|(slot, s)| s.filter(|s| !s.is_nan()).map(|s| (s, slot)))
+            .collect();
+        scores.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(state.scores_sorted, scores);
+        assert_eq!(state.dates_sorted.len(), 64);
     }
 
     #[test]

@@ -137,9 +137,9 @@ pub enum Query {
         value: String,
     },
     /// Case-insensitive substring over raw attribute values
-    /// (`contains:needle`) — the one predicate postings cannot answer;
-    /// the index verifies candidates by scanning, exactly like the
-    /// linear baseline.
+    /// (`contains:needle`). The index narrows a needle of three or more
+    /// bytes to the events posting all of its trigrams and checks each
+    /// candidate exactly; shorter needles scan every event.
     Contains(String),
     /// `published:true` / `published:false`.
     Published(bool),
@@ -572,6 +572,18 @@ impl fmt::Display for Query {
 /// ASCII-lowercased.
 pub(crate) fn normalize(value: &str) -> String {
     value.trim().to_ascii_lowercase()
+}
+
+/// Whether `needle` occurs in `haystack`, ASCII case-insensitively:
+/// the same answer as lowercasing both and calling `str::contains`,
+/// without allocating either lowercased copy.
+pub(crate) fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    let needle = needle.as_bytes();
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 /// The alphanumeric sub-tokens of a normalized value (`c2.evil.example`

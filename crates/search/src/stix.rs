@@ -27,7 +27,7 @@
 use cais_common::Timestamp;
 use serde_json::Value;
 
-use crate::query::{Field, Query};
+use crate::query::{contains_ignore_ascii_case, Field, Query};
 
 /// Walks every string leaf of the object (values only, not keys).
 fn string_leaves<'a>(value: &'a Value, visit: &mut dyn FnMut(&'a str) -> bool) -> bool {
@@ -37,17 +37,6 @@ fn string_leaves<'a>(value: &'a Value, visit: &mut dyn FnMut(&'a str) -> bool) -
         Value::Object(map) => map.values().any(|v| string_leaves(v, visit)),
         _ => false,
     }
-}
-
-/// Whether `needle` occurs in `haystack`, ASCII case-insensitively:
-/// the same answer as lowercasing both and calling `str::contains`.
-fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
-    let needle = needle.as_bytes();
-    needle.is_empty()
-        || haystack
-            .as_bytes()
-            .windows(needle.len())
-            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 /// Whether one serialized STIX object matches the query. Total: any

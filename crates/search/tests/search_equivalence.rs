@@ -6,11 +6,17 @@
 //! * `SearchIndex::search` returns exactly the `(id, version)` pairs a
 //!   full [`matches_event`] scan does, in id order, for a query pool
 //!   spanning every language axis (terms, ranges, NOT/AND/OR, contains),
+//!   plus generated `contains:` needles: substrings of the seed values in
+//!   random case at lengths 0–6, needles found in no value, non-ASCII
+//!   needles, a needle longer than every value, and needles spanning
+//!   the boundary between two values,
 //! * the [`SearchBackend`] seam answers legacy [`SearchQuery`] filters
 //!   exactly like the store's retained `search_linear` path,
 //!
-//! so appends, version-gated reindexing and cursor tracking are all
-//! exercised against both oracles.
+//! so appends, version-gated reindexing (edits of tags only, of
+//! attribute values only, or of both, so trigram postings are both
+//! kept and moved) and cursor tracking are all exercised against both
+//! oracles.
 
 use cais_common::Timestamp;
 use cais_misp::{
@@ -28,6 +34,7 @@ const ATTRIBUTES: &[(&str, &str)] = &[
     ("url", "https://evil.example/payload"),
     ("vulnerability", "CVE-2017-9805"),
     ("text", "apache struts exploitation"),
+    ("text", "Zürich loader, ÉVIL stage 2"),
 ];
 
 const TAGS: &[&str] = &["tlp:red", "tlp:amber", "type:OSINT"];
@@ -64,6 +71,65 @@ fn query_pool() -> Vec<Query> {
         instant: since,
     }))
     .collect()
+}
+
+/// `contains:` needles no generated case draws: absent from every
+/// value, non-ASCII (only ASCII letters fold case, so `évil` misses
+/// `ÉVIL`), longer than every value, and the end of one seed value run
+/// into the start of the next, which an event holding both must not
+/// match.
+fn fixed_needles() -> Vec<String> {
+    let mut needles: Vec<String> = ["zqx", "absent-token", "ürich", "ÉVIL", "évil", "ÜRICH"]
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
+    needles.push(ATTRIBUTES.iter().map(|(_, value)| *value).collect());
+    for (i, (_, value)) in ATTRIBUTES.iter().enumerate() {
+        let (_, next) = ATTRIBUTES[(i + 1) % ATTRIBUTES.len()];
+        let tail: String = value.chars().skip(value.chars().count() - 3).collect();
+        needles.push(format!("{tail}{}", &next[..3]));
+    }
+    needles
+}
+
+/// A substring of one seed value, `len` chars from char `start`, with
+/// each ASCII letter's case drawn from a bit of `case`.
+fn needle(pick: usize, start: usize, len: usize, case: u64) -> String {
+    let (_, value) = ATTRIBUTES[pick % ATTRIBUTES.len()];
+    let chars = value.chars().count();
+    value
+        .chars()
+        .skip(start % chars)
+        .take(len)
+        .enumerate()
+        .map(|(i, c)| {
+            if case >> (i % 64) & 1 == 1 {
+                c.to_ascii_uppercase()
+            } else {
+                c.to_ascii_lowercase()
+            }
+        })
+        .collect()
+}
+
+fn needles() -> impl Strategy<Value = Vec<Query>> {
+    prop::collection::vec(
+        (
+            0usize..ATTRIBUTES.len(),
+            0usize..64,
+            0usize..=6,
+            any::<u64>(),
+        ),
+        1..8,
+    )
+    .prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(pick, start, len, case)| needle(pick, start, len, case))
+            .chain(fixed_needles())
+            .map(Query::Contains)
+            .collect()
+    })
 }
 
 /// Legacy filters pushed through the SearchBackend seam.
@@ -147,11 +213,12 @@ fn event_spec() -> impl Strategy<Value = EventSpec> {
         )
 }
 
-/// Syncs the index and checks both oracles over the whole pool.
-fn check(index: &SearchIndex, store: &MispStore, round: usize) {
+/// Syncs the index and checks both oracles over the whole pool and
+/// the case's `contains:` needles.
+fn check(index: &SearchIndex, store: &MispStore, round: usize, needles: &[Query]) {
     index.sync(store);
     let snapshot = store.snapshot();
-    for query in query_pool() {
+    for query in query_pool().into_iter().chain(needles.iter().cloned()) {
         let indexed: Vec<(u64, u64)> = index
             .search(&query)
             .iter()
@@ -190,9 +257,10 @@ proptest! {
     fn indexed_search_matches_linear_scan_under_churn(
         seeds in prop::collection::vec(event_spec(), 1..5),
         rounds in prop::collection::vec(
-            (0usize..6, event_spec(), any::<bool>(), 0u8..4),
+            (0usize..6, event_spec(), any::<bool>(), 0u8..4, 0u8..3),
             0..5,
         ),
+        needles in needles(),
     ) {
         let mut store = MispStore::new();
         let index = SearchIndex::new();
@@ -200,19 +268,26 @@ proptest! {
         for (i, spec) in seeds.iter().enumerate() {
             ids.push(store.insert(event(format!("advisory {i}"), spec)).expect("insert"));
         }
-        check(&index, &store, 0);
+        check(&index, &store, 0, &needles);
 
-        for (round, (pick, spec, grow, moves)) in rounds.into_iter().enumerate() {
+        for (round, (pick, spec, grow, moves, edit)) in rounds.into_iter().enumerate() {
             let id = ids[pick % ids.len()];
             let replacement = event(format!("advisory {id} (round {round})"), &spec);
             store
-                .update(id, |e| {
-                    e.info = replacement.info.clone();
-                    e.org = replacement.org.clone();
-                    e.date = replacement.date;
-                    e.attributes = replacement.attributes.clone();
-                    e.tags = replacement.tags.clone();
-                    e.published = replacement.published;
+                .update(id, |e| match edit {
+                    // Tags only, as decay flips and score writes do:
+                    // attribute values, and so trigrams, stay put.
+                    0 => e.tags = replacement.tags.clone(),
+                    // Attribute values only.
+                    1 => e.attributes = replacement.attributes.clone(),
+                    _ => {
+                        e.info = replacement.info.clone();
+                        e.org = replacement.org.clone();
+                        e.date = replacement.date;
+                        e.attributes = replacement.attributes.clone();
+                        e.tags = replacement.tags.clone();
+                        e.published = replacement.published;
+                    }
                 })
                 .expect("update");
             if grow {
@@ -233,7 +308,7 @@ proptest! {
                 }
                 store = other;
             }
-            check(&index, &store, round + 1);
+            check(&index, &store, round + 1, &needles);
         }
     }
 }
