@@ -49,12 +49,13 @@ const DEFAULT_QUERIES: usize = 4_000;
 /// The timed query pool: analyst-lookup shapes spanning every indexed
 /// axis (type, tag, org, value token, published flag, score and date
 /// ranges, AND/OR/NOT, and substrings: one needle that hits and one
-/// whose trigrams all occur but never together). Each is selective — a value token or a tight
-/// range keeps hits in the hundreds-to-low-thousands, the shape of a
-/// real pivot query — because the timer covers result materialization
-/// too, and a query that drags 25% of a 200k-event store back is a
-/// bulk export, not a search. `{date}` is substituted with an RFC 3339
-/// instant two days before the population's "now".
+/// whose trigrams all occur but never together). Each is selective —
+/// a value token or a tight range keeps hits in the
+/// hundreds-to-low-thousands, the shape of a real pivot query —
+/// because the timer covers result materialization too, and a query
+/// that drags 25% of a 200k-event store back is a bulk export, not a
+/// search. `{date}` is substituted with an RFC 3339 instant two days
+/// before the population's "now".
 const TIMED_QUERIES: &[&str] = &[
     "type:ip-dst AND tag:tlp:red AND value:137",
     "org:circl AND value:9100",

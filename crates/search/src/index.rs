@@ -40,7 +40,6 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,29 +88,6 @@ fn event_trigrams(event: &MispEvent, out: &mut Vec<u32>) {
     }
     out.sort_unstable();
     out.dedup();
-}
-
-/// Hashes a packed trigram with one multiply, folding the well-mixed
-/// high half of the product into the low bits the table indexes by.
-/// SipHash would cost more than the rest of a trigram lookup.
-#[derive(Default)]
-struct TrigramHasher(u64);
-
-impl Hasher for TrigramHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(self.0 as u32 ^ u32::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        let product = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = product ^ (product >> 32);
-    }
 }
 
 /// Sparse→dense flip point for a posting. Below it a sorted id vector
@@ -235,7 +211,7 @@ struct IndexState {
     /// Token text → interned id; postings are indexed by that id.
     tokens: HashMap<String, u32>,
     /// Packed value trigram → interned id in the same id space.
-    trigrams: HashMap<u32, u32, BuildHasherDefault<TrigramHasher>>,
+    trigrams: HashMap<u32, u32>,
     /// Interned token or trigram id → that key's slot set.
     postings: Vec<Posting>,
     /// Dense column of event dates, slot-indexed.
@@ -548,30 +524,13 @@ impl SearchIndex {
     }
 
     /// Brings the sorted range permutations up to date with the slots
-    /// whose date or score moved in this sync. A few moved slots are
-    /// dropped in one pass and merged back as a sorted delta; past an
-    /// eighth of the slots (a rebuild, say) one full sort is cheaper.
+    /// whose date or score moved in this sync: their old entries are
+    /// dropped in one pass and their new ones merged back as a sorted
+    /// delta. On a rebuild every slot moved, so the merge is one sort.
     /// Info-only churn, the common case, moves nothing.
     fn refresh_ranges(state: &mut IndexState) {
         let moved = std::mem::take(&mut state.moved);
-        let count = moved.count();
-        if count == 0 {
-            return;
-        }
-        let score_entry =
-            |slot: u32, score: Option<f64>| score.filter(|s| !s.is_nan()).map(|s| (s, slot));
-        let by_score = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        if count > state.slots.len() / 8 {
-            state.dates_sorted = (0..)
-                .zip(&state.dates)
-                .map(|(slot, &d)| (d, slot))
-                .collect();
-            state.dates_sorted.sort_unstable();
-            state.scores_sorted = (0..)
-                .zip(&state.scores)
-                .filter_map(|(slot, &score)| score_entry(slot, score))
-                .collect();
-            state.scores_sorted.sort_unstable_by(by_score);
+        if moved.is_empty() {
             return;
         }
         let dates: Vec<(Timestamp, u32)> = moved
@@ -581,9 +540,14 @@ impl SearchIndex {
         merge_delta(&mut state.dates_sorted, &moved, dates, Ord::cmp);
         let scores: Vec<(f64, u32)> = moved
             .ones()
-            .filter_map(|slot| score_entry(slot, state.scores[slot as usize]))
+            .filter_map(|slot| {
+                let score = state.scores[slot as usize].filter(|s| !s.is_nan());
+                score.map(|s| (s, slot))
+            })
             .collect();
-        merge_delta(&mut state.scores_sorted, &moved, scores, by_score);
+        merge_delta(&mut state.scores_sorted, &moved, scores, |a, b| {
+            a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+        });
     }
 
     /// Indexes one versioned event: appends a new slot, or re-tokenizes
@@ -1028,8 +992,8 @@ mod tests {
         }
         let index = SearchIndex::new();
         index.sync(&store);
-        // Four of 64 slots move: under an eighth, so they merge. One
-        // loses its score, one gains one, two move date and score.
+        // Four of 64 slots move and merge back. One loses its score,
+        // one gains one, two move date and score.
         store
             .update(2, |e| {
                 e.tags.retain(|t| t.predicate() != Some("decay-score"))
